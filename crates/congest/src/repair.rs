@@ -1,19 +1,32 @@
-//! The O(affected) repair planner: from a valid MIS and an applied edit
-//! batch to the exact neighborhood that must wake.
+//! The repair planner: from a valid MIS and an applied edit batch to the
+//! exact neighborhood that must wake.
 //!
 //! The sleeping model makes MIS maintenance cheap: after an edit batch,
 //! only nodes whose MIS status is actually in question need to wake;
 //! everyone else keeps sleeping at zero awake cost. [`plan_repair`]
-//! computes that set *before* any simulation, in work proportional to
-//! the edited neighborhood:
+//! computes that set *before* any simulation. The costs, per batch:
+//!
+//! * **Awake work** is `O(affected)`: only the planned set wakes.
+//! * **Host work** is `O(Σ degree)` over the edited neighborhood plus
+//!   one bulk pass over the `n`-entry MIS bitmap: the retained set
+//!   (step 2) is an element-wise AND, and the owned full-size result of
+//!   [`RepairPlan::merge`] is a copy of it. No per-node branch runs over
+//!   the id space.
+//! * **Compaction** of the delta overlay ([`DeltaGraph::compact`]) is
+//!   `O(n + m)`, and `mis_runner::run_churn_on` runs it once per `n/16`
+//!   overlay edits.
+//!
+//! The plan itself:
 //!
 //! 1. **Demotions.** For every added edge joining two MIS nodes, the
-//!    larger id is demoted. The *retained* set (old MIS minus demotions
-//!    minus removed nodes) is provably independent in the new topology:
+//!    larger id is demoted.
+//! 2. **Retained set.** Old MIS minus removed nodes minus demotions: an
+//!    element-wise AND of the bitmap with the liveness mask, then the
+//!    demoted ids cleared. It is provably independent in the new topology:
 //!    an edge between two retained nodes is either an old edge (between
 //!    two old-MIS nodes — impossible) or an added edge (whose larger
 //!    endpoint was demoted — contradiction).
-//! 2. **Undecided set `U`.** New nodes, demoted nodes, and nodes touched
+//! 3. **Undecided set `U`.** New nodes, demoted nodes, and nodes touched
 //!    by the batch (edge endpoints, former neighbors of removed nodes,
 //!    neighbors of demoted nodes) that are alive, not retained, and not
 //!    dominated by a retained node. Every undominated live node lands in
@@ -21,7 +34,7 @@
 //!    way of losing a dominator — dominator removed, the connecting edge
 //!    removed, dominator demoted — puts the node in the candidate set.
 //!    `U` therefore sits within one hop of the edit endpoints.
-//! 3. **The awake subgraph.** The repair run executes an MIS protocol on
+//! 4. **The awake subgraph.** The repair run executes an MIS protocol on
 //!    the induced subgraph `G'[U]` through the ordinary calendar
 //!    scheduler — exactly the affected neighborhood wakes, and the
 //!    engine's determinism contract (bit-identical across thread counts)
@@ -87,9 +100,11 @@ impl RepairPlan {
 /// Plans the repair of `in_mis` (a valid MIS of the pre-batch topology,
 /// indexed by pre-batch ids) after `applied` edits on `dg`.
 ///
-/// Runs in `O(Σ degree)` over the edited neighborhood — never `O(n)` —
-/// and performs no simulation; feed [`RepairPlan::sub`] to any MIS
-/// protocol and [`RepairPlan::merge`] the result.
+/// Runs in `O(Σ degree)` over the edited neighborhood plus one bulk
+/// pass over the `n`-entry bitmap (the retained set, which
+/// [`RepairPlan::merge`] copies into its owned result), and performs no
+/// simulation; feed [`RepairPlan::sub`] to any MIS protocol and
+/// [`RepairPlan::merge`] the result.
 ///
 /// # Errors
 ///
@@ -119,13 +134,15 @@ pub fn plan_repair(
     }
     demoted_set.sort_unstable();
     demoted_set.dedup();
-    let is_demoted = |v: NodeId| demoted_set.binary_search(&v).is_ok();
 
-    // 2. Retained = old MIS ∩ alive − demoted.
-    let mut retained = vec![false; n];
-    for (v, slot) in retained.iter_mut().enumerate() {
-        let v = v as NodeId;
-        *slot = was_mis(v) && dg.is_alive(v) && !is_demoted(v);
+    // 2. Retained = old MIS ∩ alive − demoted: one element-wise AND of
+    // the bitmap with the liveness mask (ids past `in_mis` are new this
+    // batch, never in the old MIS), then the demotions cleared.
+    let mut retained = Vec::with_capacity(n);
+    retained.extend(in_mis.iter().zip(dg.liveness()).map(|(&m, &a)| m & a));
+    retained.resize(n, false);
+    for &d in &demoted_set {
+        retained[d as usize] = false;
     }
 
     // 3. Candidates: touched endpoints ∪ demoted ∪ N(demoted).

@@ -19,7 +19,6 @@
 //! (which nodes appeared/died, which edges toggled, every endpoint
 //! touched) that the repair planner turns into the affected set.
 
-use crate::builder::GraphBuilder;
 use crate::graph::{Graph, NodeId};
 use crate::partition::Partition;
 use std::collections::{BTreeMap, BTreeSet};
@@ -233,6 +232,8 @@ pub struct DeltaGraph {
     base: Graph,
     /// Liveness per id in `0..n`; dead ids never revive.
     alive: Vec<bool>,
+    /// Number of `true` entries in `alive`.
+    live: usize,
     /// Overlay-added adjacency, symmetric (`u → v` and `v → u`).
     added: BTreeMap<NodeId, BTreeSet<NodeId>>,
     /// Base edges removed by the overlay, symmetric.
@@ -253,6 +254,7 @@ impl DeltaGraph {
         DeltaGraph {
             base,
             alive: vec![true; n],
+            live: n,
             added: BTreeMap::new(),
             removed: BTreeMap::new(),
             n,
@@ -271,14 +273,21 @@ impl DeltaGraph {
         self.m
     }
 
-    /// Number of live nodes.
+    /// Number of live nodes (kept as a counter, O(1)).
     pub fn live_nodes(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.live
     }
 
     /// Whether `v` is a live node of the current topology.
     pub fn is_alive(&self, v: NodeId) -> bool {
         (v as usize) < self.n && self.alive[v as usize]
+    }
+
+    /// Liveness of every id in `0..n()`, indexed by id: the bulk form of
+    /// [`is_alive`](DeltaGraph::is_alive), for passes over the whole id
+    /// space.
+    pub fn liveness(&self) -> &[bool] {
+        &self.alive
     }
 
     /// The underlying CSR (the topology as of the last compaction).
@@ -301,7 +310,7 @@ impl DeltaGraph {
         if !self.is_alive(v) {
             return 0;
         }
-        let mut d = self.base_degree(v);
+        let mut d = self.base_row(v).len();
         if let Some(rem) = self.removed.get(&v) {
             d -= rem.len();
         }
@@ -311,11 +320,13 @@ impl DeltaGraph {
         d
     }
 
-    fn base_degree(&self, v: NodeId) -> usize {
+    /// `v`'s row in the base CSR (empty for ids added since the last
+    /// compaction).
+    fn base_row(&self, v: NodeId) -> &[NodeId] {
         if (v as usize) < self.base.n() {
-            self.base.degree(v)
+            self.base.neighbors(v)
         } else {
-            0
+            &[]
         }
     }
 
@@ -341,33 +352,14 @@ impl DeltaGraph {
     }
 
     /// Calls `f` for every current neighbor of `v` in ascending order.
-    pub fn for_each_neighbor(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
-        if !self.is_alive(v) {
-            return;
-        }
-        let removed = self.removed.get(&v);
-        let base: &[NodeId] = if (v as usize) < self.base.n() {
-            self.base.neighbors(v)
-        } else {
-            &[]
-        };
-        let mut add = self.added.get(&v).into_iter().flatten().copied().peekable();
-        for &w in base {
-            if removed.is_some_and(|s| s.contains(&w)) {
-                continue;
-            }
-            while let Some(&a) = add.peek() {
-                if a < w {
-                    f(a);
-                    add.next();
-                } else {
-                    break;
-                }
-            }
-            f(w);
-        }
-        for a in add {
-            f(a);
+    pub fn for_each_neighbor(&self, v: NodeId, f: impl FnMut(NodeId)) {
+        if self.is_alive(v) {
+            merge_row(
+                self.base_row(v),
+                self.removed.get(&v),
+                self.added.get(&v),
+                f,
+            );
         }
     }
 
@@ -394,6 +386,7 @@ impl DeltaGraph {
             Edit::AddNode => {
                 let id = self.n as NodeId;
                 self.alive.push(true);
+                self.live += 1;
                 self.n += 1;
                 self.overlay_edits += 1;
                 applied.added_nodes.push(id);
@@ -405,6 +398,7 @@ impl DeltaGraph {
                     applied.removed_edges.push((v, w));
                 }
                 self.alive[v as usize] = false;
+                self.live -= 1;
                 self.overlay_edits += 1;
                 applied.removed_nodes.push(v);
             }
@@ -496,22 +490,34 @@ impl DeltaGraph {
     /// touching the overlay. Dead ids become isolated nodes, so bitmaps
     /// indexed by the `DeltaGraph` id space apply to the snapshot
     /// unchanged.
+    ///
+    /// One O(n + m) pass: rows are written in id order, each the merge of
+    /// its base row with its overlay sets. Both overlays are keyed by id,
+    /// so their iterators step alongside the walk instead of being
+    /// searched per node.
     pub fn snapshot(&self) -> Graph {
-        let mut b = GraphBuilder::with_capacity(self.n, self.m);
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        let mut adj = Vec::with_capacity(2 * self.m);
+        offsets.push(0);
+        let mut added = self.added.iter().peekable();
+        let mut removed = self.removed.iter().peekable();
         for v in 0..self.n as NodeId {
-            self.for_each_neighbor(v, |w| {
-                if v < w {
-                    b.add_edge(v, w);
-                }
-            });
+            let add = added.next_if(|&(&u, _)| u == v).map(|(_, s)| s);
+            let rem = removed.next_if(|&(&u, _)| u == v).map(|(_, s)| s);
+            if self.alive[v as usize] {
+                merge_row(self.base_row(v), rem, add, |w| adj.push(w));
+            }
+            offsets.push(adj.len());
         }
-        b.build()
+        debug_assert!(added.next().is_none() && removed.next().is_none());
+        Graph::from_sorted_rows(offsets, adj)
     }
 
     /// Rebuilds the base CSR from the current topology and clears the
     /// overlay, restoring the contiguous edge-slot invariants the hot
     /// engine relies on. Ids are preserved (dead ids stay as isolated
-    /// nodes in the new base).
+    /// nodes in the new base). `O(n + m)`: one
+    /// [`snapshot`](DeltaGraph::snapshot).
     pub fn compact(&mut self) -> CompactStats {
         self.base = self.snapshot();
         self.added.clear();
@@ -579,6 +585,34 @@ impl DeltaGraph {
             maximal,
         }
     }
+}
+
+/// Calls `f` on `base` minus `removed` plus `added`, in ascending order:
+/// one current row of the overlay. `removed` is a subset of `base` (only
+/// base edges are marked removed) and `added` is disjoint from it, so
+/// both sets are stepped alongside the base row.
+fn merge_row(
+    base: &[NodeId],
+    removed: Option<&BTreeSet<NodeId>>,
+    added: Option<&BTreeSet<NodeId>>,
+    mut f: impl FnMut(NodeId),
+) {
+    let mut rem = removed.into_iter().flatten().peekable();
+    let mut add = added.into_iter().flatten().copied().peekable();
+    for &w in base {
+        if rem.next_if_eq(&&w).is_some() {
+            continue;
+        }
+        while let Some(a) = add.next_if(|&a| a < w) {
+            f(a);
+        }
+        f(w);
+    }
+    debug_assert!(
+        rem.next().is_none(),
+        "removed overlay edge not in the base row"
+    );
+    add.for_each(f);
 }
 
 /// Which overlay map an edge mark targets.
@@ -768,57 +802,86 @@ mod tests {
         assert!(!c.independent);
     }
 
-    /// Random edit storms: the overlay's view must equal an
-    /// edge-list-rebuilt graph after every batch, and compaction must be
-    /// a no-op on the topology.
+    /// `Graph::from_edges` over the overlay's neighbor lists: the
+    /// reference CSR of the current topology.
+    fn rebuilt(dg: &DeltaGraph) -> Graph {
+        let mut edges = Vec::new();
+        for v in 0..dg.n() as NodeId {
+            dg.for_each_neighbor(v, |w| {
+                if v < w {
+                    edges.push((v, w));
+                }
+            });
+        }
+        Graph::from_edges(dg.n(), &edges).unwrap()
+    }
+
+    /// Random edit storms. After every batch the live counter equals a
+    /// recount, the overlay's edges equal an edge set kept beside it, and
+    /// the snapshot — and, at each compaction, the new base — equals the
+    /// reference CSR `rebuilt` (offsets, adjacency and reverse-edge table
+    /// alike). Compactions see dead ids and ids past the old base.
     #[test]
     fn overlay_matches_rebuilt_graph_under_random_churn() {
         let mut rng = SmallRng::seed_from_u64(42);
         let g = generators::gnp(48, 0.12, &mut rng);
+        let mut model: BTreeSet<(NodeId, NodeId)> = g.edges().collect();
         let mut dg = delta(g);
+        let (mut compacted_dead, mut compacted_new) = (false, false);
         for round in 0..30 {
-            let mut b = EditBatch::new();
+            // Draw edits one at a time against a probe copy and keep those
+            // that apply, so every batch lands with all four kinds mixed.
+            let mut probe = dg.clone();
+            let mut edits = Vec::new();
             for _ in 0..6 {
-                match rng.gen_range(0..4u32) {
-                    0 => {
-                        b.add_node();
+                let n = probe.n() as NodeId;
+                let u = rng.gen_range(0..n);
+                let v = rng.gen_range(0..n);
+                let edit = match rng.gen_range(0..4u32) {
+                    0 => Edit::AddNode,
+                    1 => Edit::RemoveNode(u),
+                    2 => Edit::AddEdge(u, v),
+                    _ => match probe.neighbors(u)[..] {
+                        [] => Edit::RemoveEdge(u, v),
+                        ref nbrs => Edit::RemoveEdge(u, nbrs[v as usize % nbrs.len()]),
+                    },
+                };
+                if probe.apply(&std::iter::once(edit).collect()).is_err() {
+                    continue;
+                }
+                edits.push(edit);
+                match edit {
+                    Edit::AddNode => {}
+                    Edit::RemoveNode(x) => model.retain(|&(a, b)| a != x && b != x),
+                    Edit::AddEdge(a, b) => {
+                        model.insert((a.min(b), a.max(b)));
                     }
-                    1 => {
-                        // Remove a random live node (probe on a clone to
-                        // stay valid against earlier edits of the batch).
-                        let v = rng.gen_range(0..dg.n() as u32);
-                        b.remove_node(v);
-                    }
-                    2 => {
-                        let u = rng.gen_range(0..dg.n() as u32);
-                        let v = rng.gen_range(0..dg.n() as u32);
-                        b.add_edge(u, v);
-                    }
-                    _ => {
-                        let u = rng.gen_range(0..dg.n() as u32);
-                        let v = rng.gen_range(0..dg.n() as u32);
-                        b.remove_edge(u, v);
+                    Edit::RemoveEdge(a, b) => {
+                        model.remove(&(a.min(b), a.max(b)));
                     }
                 }
             }
-            // Apply on a clone first: keep only batches that are fully
-            // valid (fail-fast leaves a prefix applied otherwise).
-            let mut probe = dg.clone();
-            if probe.apply(&b).is_ok() {
-                dg.apply(&b).unwrap();
-            }
-            let snap = dg.snapshot();
-            assert_eq!(snap.n(), dg.n(), "round {round}");
-            assert_eq!(snap.m(), dg.m(), "round {round}");
-            for v in 0..dg.n() as u32 {
-                assert_eq!(snap.neighbors(v), &dg.neighbors(v)[..], "round {round}");
-            }
+            dg.apply(&edits.into_iter().collect()).unwrap();
+            let live = (0..dg.n() as NodeId).filter(|&v| dg.is_alive(v)).count();
+            assert_eq!(dg.live_nodes(), live, "round {round}");
+            let want = rebuilt(&dg);
+            assert_eq!(
+                want.edges().collect::<BTreeSet<_>>(),
+                model,
+                "round {round}"
+            );
+            assert_eq!(dg.m(), model.len(), "round {round}");
+            assert_eq!(dg.snapshot(), want, "round {round}");
             if round % 10 == 9 {
-                let before = dg.snapshot();
+                compacted_dead |= live < dg.n();
+                compacted_new |= dg.n() > dg.base().n();
                 dg.compact();
-                assert_eq!(dg.snapshot(), before, "round {round}");
+                assert_eq!(dg.base(), &want, "round {round}");
+                assert_eq!(dg.snapshot(), want, "round {round}");
+                assert_eq!(dg.live_nodes(), live, "round {round}");
             }
         }
+        assert!(compacted_dead && compacted_new);
         // Dead nodes never hold edges; live subgraph is consistent.
         let snap = dg.snapshot();
         let comps = props::connected_components(&snap);

@@ -138,25 +138,37 @@ impl Graph {
             }
             clean_offsets.push(clean_adj.len());
         }
+        Ok(Graph::from_sorted_rows(clean_offsets, clean_adj))
+    }
+
+    /// Builds a graph from CSR rows that are already clean: `offsets`
+    /// holds `n + 1` non-decreasing entries, `v`'s row is
+    /// `adj[offsets[v]..offsets[v + 1]]`, every row is strictly ascending
+    /// with no self-loop, and rows are symmetric (`u` in `v`'s row iff
+    /// `v` in `u`'s). Adds the reverse-edge table; every constructor
+    /// builds it here.
+    pub(crate) fn from_sorted_rows(offsets: Vec<usize>, adj: Vec<NodeId>) -> Graph {
+        let n = offsets.len() - 1;
+        debug_assert_eq!(offsets[n], adj.len());
+        debug_assert!((0..n).all(|v| {
+            let row = &adj[offsets[v]..offsets[v + 1]];
+            row.windows(2).all(|p| p[0] < p[1]) && !row.contains(&(v as NodeId))
+        }));
         // Reverse-edge table. Sweeping targets in ascending source order
         // visits each node's adjacency list front to back, so a running
         // per-node cursor yields the position of the opposite slot in
         // O(m) total.
-        let mut rev = vec![0 as EdgeId; clean_adj.len()];
+        let mut rev = vec![0 as EdgeId; adj.len()];
         let mut seen = vec![0usize; n];
         for u in 0..n {
-            for j in clean_offsets[u]..clean_offsets[u + 1] {
-                let v = clean_adj[j] as usize;
-                rev[j] = clean_offsets[v] + seen[v];
+            for j in offsets[u]..offsets[u + 1] {
+                let v = adj[j] as usize;
+                rev[j] = offsets[v] + seen[v];
                 seen[v] += 1;
             }
         }
         debug_assert!((0..rev.len()).all(|e| rev[rev[e]] == e));
-        Ok(Graph {
-            offsets: clean_offsets,
-            adj: clean_adj,
-            rev,
-        })
+        Graph { offsets, adj, rev }
     }
 
     /// Number of nodes.

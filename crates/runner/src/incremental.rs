@@ -57,8 +57,8 @@ pub struct RepairOutcome {
 }
 
 /// An MIS algorithm that can *maintain* its output under graph edits:
-/// a full solve on a [`DeltaGraph`], and an `O(affected)` repair after
-/// an applied edit batch.
+/// a full solve on a [`DeltaGraph`], and a repair after an applied edit
+/// batch that wakes only the affected set.
 ///
 /// Object-safe, like [`Algorithm`]; registered strategies resolve via
 /// [`from_name`] under `inc-<base>` names. The default method bodies
@@ -357,10 +357,11 @@ pub fn run_churn(
 }
 
 /// Churn driver on a caller-built base graph: one solve, then per batch
-/// a generated edit stream, an `O(affected)` repair, and periodic
-/// compaction of the delta overlay. The returned report carries the
-/// *final* MIS (verified against the final topology), the solve-phase
-/// metrics, and [`RunReport::repair`] accounting for the repairs.
+/// a generated edit stream, a repair that wakes only the affected set,
+/// and periodic compaction of the delta overlay. The returned report
+/// carries the *final* MIS (verified against the final topology), the
+/// solve-phase metrics, and [`RunReport::repair`] accounting for the
+/// repairs.
 ///
 /// Bit-identical across [`congest_sim::SimConfig::threads`] values: the
 /// stream is engine-independent and every sub-run inherits the engine's

@@ -19,8 +19,8 @@
 //!   with [`RunConfig::collect_rounds`] unlocking the engine's
 //!   deterministic [`congest_sim::RoundObserver`] time series;
 //! * [`IncrementalAlgorithm`] — the churn-facing twin of [`Algorithm`]:
-//!   solve once, then `O(affected)` repairs per edit batch, driven by
-//!   the `edits:` arm of the workload grammar
+//!   solve once, then per edit batch a repair that wakes only the
+//!   affected set, driven by the `edits:` arm of the workload grammar
 //!   (`edits:base=gnp:n=65536,deg=8;batches=64;ops=32;seed=3`) and
 //!   reported through [`RunReport::repair`].
 //!

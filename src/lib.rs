@@ -11,7 +11,7 @@
 //!   declarative [`Scenario`](mis_runner::Scenario) sweeps, and the
 //!   [`IncrementalAlgorithm`](mis_runner::IncrementalAlgorithm)
 //!   registry maintaining an MIS under churn (`edits:` workloads,
-//!   `O(affected)` repairs);
+//!   repairs that wake only the affected set);
 //! * [`algorithms`] ([`energy_mis`]) — the paper's Algorithm 1,
 //!   Algorithm 2, and the Section 4 constant-average-energy extension;
 //! * [`sim`] ([`congest_sim`]) — the sleeping-CONGEST simulator with
@@ -58,8 +58,8 @@
 //! ```
 //!
 //! Churn workloads drive the incremental registry through the same
-//! path — solve the base graph once, then `O(affected)` repairs per
-//! edit batch, with [`RunReport::repair`](mis_runner::RunReport::repair)
+//! path — solve the base graph once, then per edit batch a repair that
+//! wakes only the affected set, with [`RunReport::repair`](mis_runner::RunReport::repair)
 //! accounting for the awake sets:
 //!
 //! ```

@@ -2,9 +2,12 @@
 //! must leave a verified (independent AND maximal) set on the final
 //! topology, bit-identically across engines, and a repair after a
 //! single-edge edit must wake only the edit's 2-hop neighborhood —
-//! `o(n)` by orders of magnitude at bench scale.
+//! `o(n)` by orders of magnitude at bench scale. The repair planner
+//! must also equal a per-node reference planner on random edit streams.
 
+use congest_sim::{plan_repair, RepairPlan};
 use distributed_mis::prelude::*;
+use mis_graphs::{AppliedBatch, NodeId};
 use proptest::prelude::*;
 
 proptest! {
@@ -160,4 +163,133 @@ fn repair_awake_work_scales_with_affected_not_n() {
         "a batch of 4 edits woke {} of 8192 nodes",
         stats.max_affected
     );
+}
+
+/// The planner decided node by node, as `plan_repair` once did: the
+/// oracle for its bulk retained pass. `retained[v]` is
+/// `was_mis(v) && alive(v) && !demoted(v)` for every id, including ids
+/// past `in_mis` (nodes the batch added).
+fn reference_plan(dg: &DeltaGraph, applied: &AppliedBatch, in_mis: &[bool]) -> RepairPlan {
+    let was_mis = |v: NodeId| in_mis.get(v as usize).copied().unwrap_or(false);
+    let mut demoted: Vec<NodeId> = applied
+        .added_edges
+        .iter()
+        .filter(|&&(u, v)| was_mis(u) && was_mis(v) && dg.has_edge(u, v))
+        .map(|&(u, v)| u.max(v))
+        .collect();
+    demoted.sort_unstable();
+    demoted.dedup();
+    let retained: Vec<bool> = (0..dg.n() as NodeId)
+        .map(|v| was_mis(v) && dg.is_alive(v) && demoted.binary_search(&v).is_err())
+        .collect();
+    let mut candidates = applied.touched.clone();
+    for &d in &demoted {
+        candidates.push(d);
+        candidates.extend(dg.neighbors(d));
+    }
+    candidates.sort_unstable();
+    candidates.dedup();
+    let undecided: Vec<NodeId> = candidates
+        .into_iter()
+        .filter(|&v| {
+            dg.is_alive(v)
+                && !retained[v as usize]
+                && !dg.neighbors(v).iter().any(|&w| retained[w as usize])
+        })
+        .collect();
+    let mut sub = GraphBuilder::new(undecided.len());
+    for (local, &v) in undecided.iter().enumerate() {
+        for w in dg.neighbors(v).into_iter().filter(|&w| w > v) {
+            if let Ok(wl) = undecided.binary_search(&w) {
+                sub.add_edge(local as NodeId, wl as NodeId);
+            }
+        }
+    }
+    RepairPlan {
+        retained,
+        demoted,
+        undecided,
+        sub: sub.build(),
+    }
+}
+
+/// How many batches of a stream exercised each part of the retained
+/// pass: ids past the old bitmap, removed MIS nodes, demotions.
+#[derive(Debug, Default)]
+struct OracleCoverage {
+    grown: usize,
+    mis_removed: usize,
+    demoted: usize,
+}
+
+/// Drives a `ChurnStream` over `base`, checking every batch's plan
+/// against [`reference_plan`] and keeping the MIS valid by a greedy
+/// sub-solve merged back through the plan.
+fn check_planner_against_reference(base: &str, churn: ChurnSpec) -> OracleCoverage {
+    let g = base.parse::<WorkloadSpec>().unwrap().build();
+    let mut in_mis = greedy_mis(&g);
+    let mut dg = DeltaGraph::new(g);
+    let mut stream = ChurnStream::new(churn);
+    let mut seen = OracleCoverage::default();
+    for b in 0..churn.batches {
+        let applied = stream.next_batch(&mut dg).unwrap();
+        let plan = plan_repair(&dg, &applied, &in_mis).unwrap();
+        let want = reference_plan(&dg, &applied, &in_mis);
+        assert_eq!(plan.retained, want.retained, "{base}, batch {b}: retained");
+        assert_eq!(plan.demoted, want.demoted, "{base}, batch {b}: demoted");
+        assert_eq!(
+            plan.undecided, want.undecided,
+            "{base}, batch {b}: undecided"
+        );
+        assert_eq!(plan.sub, want.sub, "{base}, batch {b}: sub");
+        seen.grown += usize::from(in_mis.len() < dg.n());
+        let was_mis = |v: &NodeId| in_mis.get(*v as usize) == Some(&true);
+        seen.mis_removed += usize::from(applied.removed_nodes.iter().any(was_mis));
+        seen.demoted += usize::from(!plan.demoted.is_empty());
+        in_mis = plan.merge(&greedy_mis(&plan.sub));
+        assert!(dg.check_mis(&in_mis).is_mis(), "{base}, batch {b}: merge");
+    }
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random edit streams on gnp and regular bases: every batch's plan
+    /// equals the per-node reference, field by field.
+    #[test]
+    fn planner_matches_the_per_node_reference(
+        fam in 0u32..2,
+        n in 32usize..160,
+        batches in 4u32..24,
+        ops in 1u32..10,
+        seed in 0u64..500,
+    ) {
+        let base = match fam {
+            0 => format!("gnp:n={n},deg=6,seed={seed}"),
+            _ => format!("regular:n={n},d=4,seed={seed}"),
+        };
+        check_planner_against_reference(&base, ChurnSpec { batches, ops, seed });
+    }
+}
+
+/// A fixed stream long enough to exercise every part of the retained
+/// pass, so the oracle above cannot pass vacuously: batches that add
+/// nodes (the old bitmap is shorter than the id space), that remove MIS
+/// nodes (only the liveness mask drops them) and that demote (only the
+/// fix-up clears them).
+#[test]
+fn planner_oracle_covers_growth_removal_and_demotion() {
+    let churn = ChurnSpec {
+        batches: 60,
+        ops: 6,
+        seed: 4,
+    };
+    for base in ["gnp:n=96,deg=6,seed=1", "regular:n=96,d=4,seed=1"] {
+        let seen = check_planner_against_reference(base, churn);
+        assert!(
+            seen.grown > 0 && seen.mis_removed > 0 && seen.demoted > 0,
+            "{base}: {seen:?}"
+        );
+    }
 }

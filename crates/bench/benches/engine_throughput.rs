@@ -1,5 +1,5 @@
 //! Criterion bench for the raw engine hot loop: bucketed scheduler +
-//! edge-slot delivery, measured through an all-awake broadcast protocol
+//! claim-word delivery, measured through an all-awake broadcast protocol
 //! so engine overhead (not protocol logic) dominates. The JSON artifact
 //! counterpart with baseline comparison is the `engine_throughput` binary
 //! (`BENCH_engine.json`).

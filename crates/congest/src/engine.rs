@@ -10,25 +10,40 @@
 //!   map as the wakeup queue — popping the next busy round is an O(1)
 //!   amortized bitmap scan, and duplicate wakeups are filtered with a
 //!   per-round stamp instead of `sort + dedup`;
-//! * messages are delivered into **per-directed-edge inbox slots**
+//! * messages are delivered through **per-directed-edge claim words**
 //!   (indexed by [`mis_graphs::EdgeId`]) instead of a global outbox —
 //!   a send addressed by neighbor rank is an O(1) write through the
 //!   precomputed reverse-edge table, duplicate-destination detection is
-//!   an O(1) stamp compare, and a receiver reads its slot range already
+//!   an O(1) tick compare, and a receiver reads its claim range already
 //!   in ascending sender order.
 //!
-//! Delivery is **zero-copy end to end**: a payload is written exactly
-//! once (by the send that claims its edge slot) and never moved again —
+//! A claim word is one `u64`: the 32-bit tick of the round that claimed
+//! the edge, and the index of the payload in that round's arena (a
+//! `Vec<Msg>` the send pushes to). A reserved index marks a claim without
+//! a payload: the receiver slept, or the channel destroyed the delivery
+//! (loss drop, collision wipe). Ticks only grow, so stale words never
+//! need wiping.
+//!
+//! Claim words carry no message type, so one [`EngineScratch`] serves
+//! every phase of a [`crate::Pipeline`], whatever each phase's
+//! [`Protocol::Msg`]: a solve sizes the claim array once, not once per
+//! phase. The array is allocated zeroed, so pages that no send touches
+//! are never faulted in, and a run that wakes no node costs O(n), not
+//! O(m).
+//!
+//! Delivery is **zero-copy**: a payload is never cloned after its send
+//! (a broadcast stores one copy that all of its receivers share), and
 //! [`Protocol::recv`] receives a borrowed [`Inbox`] view that iterates
-//! `(sender, &msg)` straight out of the slot range, stamp-filtered, with
-//! no per-round re-materialization of inbox buffers. Per-node hot flags
-//! (awake / halted) are packed into `u64` bitset words
-//! ([`crate::bits::NodeBits`]), and CONGEST message/bit accounting is
-//! tallied locally per node and committed to the [`Metrics`] once per
-//! send half, not once per message.
+//! `(sender, &msg)` straight out of the arena, filtered by the claim
+//! words. Per-node hot flags (awake / halted) are packed into `u64`
+//! bitset words ([`crate::bits::NodeBits`]), and CONGEST message/bit
+//! accounting is tallied locally per node and committed to the
+//! [`Metrics`] once per send half, not once per message.
 //!
 //! All reusable buffers live in an [`EngineScratch`], allocated once per
-//! run (or once across many runs via [`run_with_scratch`]).
+//! run, or once across many runs via [`run_with_scratch`] (which is how
+//! a [`crate::Pipeline`] shares one scratch across its phases). The
+//! arena is per run and reused round over round.
 
 use crate::bits::NodeBits;
 use crate::channel::{ChannelModel, FaultPlan};
@@ -70,9 +85,9 @@ pub trait Protocol {
 
     /// Receive half of an awake round: `inbox` is a borrowed view over
     /// the messages sent to this node in this round by awake neighbors,
-    /// iterated in ascending sender order directly from the delivery
-    /// slots (no payload is copied). Future wakeups and halting are
-    /// requested here.
+    /// iterated in ascending sender order directly from the round's
+    /// payload arena (no payload is copied). Future wakeups and halting
+    /// are requested here.
     fn recv(&self, state: &mut Self::State, inbox: Inbox<'_, Self::Msg>, api: &mut RecvApi<'_>);
 }
 
@@ -80,22 +95,25 @@ pub trait Protocol {
 ///
 /// The engine hands this to [`Protocol::recv`] instead of a materialized
 /// `&[(NodeId, Msg)]` slice: iteration walks the node's contiguous
-/// in-edge slot range, yields `(sender, &msg)` for every slot stamped
-/// this round, and skips the rest — ascending sender order falls out of
-/// the CSR slot layout for free. The payload stays in its delivery slot;
-/// after the send wrote it, it is never moved or cloned again.
+/// in-edge claim range, yields `(sender, &msg)` for every word claimed
+/// this round with a payload, and skips the rest — ascending sender
+/// order falls out of the CSR layout for free. The payload stays in the
+/// round's arena; it is never cloned after its send.
 ///
 /// The view is `Copy`, so it can be passed around freely inside `recv`.
-/// [`Inbox::count`] and [`Inbox::is_empty`] scan the slot range (cost
+/// [`Inbox::count`] and [`Inbox::is_empty`] scan the claim range (cost
 /// `O(degree)`, like one iteration); protocols that need the count *and*
 /// the items should iterate once instead of calling both.
 pub struct Inbox<'a, M> {
-    /// The receiver's in-edge slots, `slots[k]` paired with `senders[k]`.
-    slots: &'a [EdgeSlot<M>],
-    /// The receiver's sorted neighbor list (slot `k` ⇔ `senders[k]`).
+    /// The receiver's in-edge claim words, `claims[k]` paired with
+    /// `senders[k]`.
+    claims: &'a [u64],
+    /// The round's payloads, indexed by the claim words.
+    arena: &'a [M],
+    /// The receiver's sorted neighbor list (word `k` ⇔ `senders[k]`).
     senders: &'a [NodeId],
-    /// Slots carrying this stamp hold a message delivered this round.
-    stamp: u64,
+    /// Tick of the current round.
+    tick: u32,
 }
 
 impl<M> Clone for Inbox<'_, M> {
@@ -113,21 +131,28 @@ impl<M: std::fmt::Debug> std::fmt::Debug for Inbox<'_, M> {
 }
 
 impl<'a, M> Inbox<'a, M> {
-    /// Assembles a view over one node's slot range (engine internal).
-    pub(crate) fn new(slots: &'a [EdgeSlot<M>], senders: &'a [NodeId], stamp: u64) -> Inbox<'a, M> {
-        debug_assert_eq!(slots.len(), senders.len());
+    /// Assembles a view over one node's claim range (engine internal).
+    pub(crate) fn new(
+        claims: &'a [u64],
+        arena: &'a [M],
+        senders: &'a [NodeId],
+        tick: u32,
+    ) -> Inbox<'a, M> {
+        debug_assert_eq!(claims.len(), senders.len());
         Inbox {
-            slots,
+            claims,
+            arena,
             senders,
-            stamp,
+            tick,
         }
     }
 
     /// Iterates `(sender, &msg)` in ascending sender order.
     pub fn iter(&self) -> InboxIter<'a, M> {
         InboxIter {
-            inner: self.slots.iter().zip(self.senders.iter()),
-            stamp: self.stamp,
+            inner: self.claims.iter().zip(self.senders.iter()),
+            arena: self.arena,
+            tick: self.tick,
         }
     }
 
@@ -139,9 +164,9 @@ impl<'a, M> Inbox<'a, M> {
 
     /// Number of messages delivered this round (`O(degree)` scan).
     pub fn count(&self) -> usize {
-        self.slots
+        self.claims
             .iter()
-            .filter(|s| s.stamp == self.stamp && s.msg.is_some())
+            .filter(|&&w| payload_index(w, self.tick).is_some())
             .count()
     }
 
@@ -167,25 +192,21 @@ impl<'a, M> IntoIterator for &Inbox<'a, M> {
     }
 }
 
-/// Iterator over an [`Inbox`]: filters the slot range by the round stamp.
+/// Iterator over an [`Inbox`]: filters the claim range by the round tick.
 #[derive(Debug)]
 pub struct InboxIter<'a, M> {
-    inner: std::iter::Zip<std::slice::Iter<'a, EdgeSlot<M>>, std::slice::Iter<'a, NodeId>>,
-    stamp: u64,
+    inner: std::iter::Zip<std::slice::Iter<'a, u64>, std::slice::Iter<'a, NodeId>>,
+    arena: &'a [M],
+    tick: u32,
 }
 
 impl<'a, M> Iterator for InboxIter<'a, M> {
     type Item = (NodeId, &'a M);
 
     fn next(&mut self) -> Option<(NodeId, &'a M)> {
-        for (slot, &src) in self.inner.by_ref() {
-            if slot.stamp == self.stamp {
-                // A stamped slot without a payload was claimed but never
-                // delivered: the receiver slept at send time, or the
-                // channel destroyed it (loss drop, collision wipe).
-                if let Some(msg) = slot.msg.as_ref() {
-                    return Some((src, msg));
-                }
+        for (&word, &src) in self.inner.by_ref() {
+            if let Some(i) = payload_index(word, self.tick) {
+                return Some((src, &self.arena[i]));
             }
         }
         None
@@ -194,6 +215,87 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         (0, self.inner.size_hint().1)
     }
+}
+
+/// Low half of a claim word that marks a claim without a payload: the
+/// receiver slept at send time, or the channel destroyed the delivery
+/// (loss drop, collision wipe).
+const NO_PAYLOAD: u32 = u32::MAX;
+
+/// The claim word of an edge claimed in the round with tick `tick`,
+/// carrying arena index `index` (or [`NO_PAYLOAD`]).
+#[inline]
+pub(crate) fn claim_word(tick: u32, index: u32) -> u64 {
+    (u64::from(tick) << 32) | u64::from(index)
+}
+
+/// Whether `word` was claimed in the round with tick `tick`.
+#[inline]
+fn claimed(word: u64, tick: u32) -> bool {
+    (word >> 32) as u32 == tick
+}
+
+/// The arena index `word` carries if it was claimed in the round with
+/// tick `tick` and holds a payload. One subtract and one compare: the
+/// difference is below [`NO_PAYLOAD`] only when the high half equals
+/// the tick and the low half is a real index.
+#[inline]
+fn payload_index(word: u64, tick: u32) -> Option<usize> {
+    let index = word.wrapping_sub(u64::from(tick) << 32);
+    (index < u64::from(NO_PAYLOAD)).then_some(index as usize)
+}
+
+/// Grows a claim array to cover `edges` edges. Growth allocates a fresh
+/// zeroed array, which the allocator maps lazily, so pages that no send
+/// touches are never faulted in; a longer array is kept as it is, since
+/// its stale words carry older ticks. Tick 0 is never a round's tick, so
+/// a zero word is never claimed.
+///
+/// # Panics
+///
+/// Panics if `edges` does not fit a claim word's 32-bit payload index.
+pub(crate) fn fit_claims(claims: &mut Vec<u64>, edges: usize) {
+    assert!(
+        edges < NO_PAYLOAD as usize,
+        "{edges} directed edges overflow a claim word's payload index"
+    );
+    if claims.len() < edges {
+        *claims = vec![0; edges];
+    }
+}
+
+/// Advances a scratch's round tick. On 32-bit wrap-around, `zero` wipes
+/// the scratch's claim and stamp arrays and the tick restarts at 1, so no
+/// word written before the wrap can match a later tick.
+#[inline]
+pub(crate) fn next_tick(tick: &mut u32, zero: impl FnOnce()) -> u32 {
+    *tick = tick.wrapping_add(1);
+    if *tick == 0 {
+        zero();
+        *tick = 1;
+    }
+    *tick
+}
+
+/// The radio-collision rule for one awake receiver's claim range: when
+/// two or more payloads arrived this round, all of them are lost. Wipes
+/// them (the claims stay, without payload) and moves them from
+/// delivered to dropped in `metrics`, which must be the metrics that
+/// counted their delivery.
+pub(crate) fn wipe_collision(claims: &mut [u64], tick: u32, metrics: &mut Metrics) {
+    let hits = claims
+        .iter()
+        .filter(|&&w| payload_index(w, tick).is_some())
+        .count() as u64;
+    if hits < 2 {
+        return;
+    }
+    for w in claims.iter_mut().filter(|w| claimed(**w, tick)) {
+        *w = claim_word(tick, NO_PAYLOAD);
+    }
+    metrics.messages_delivered -= hits;
+    metrics.messages_dropped += hits;
+    metrics.collisions += 1;
 }
 
 /// Configuration of a simulation run.
@@ -436,72 +538,48 @@ impl<'a> InitApi<'a> {
     }
 }
 
-/// One per-directed-edge delivery slot: the payload and the round stamp
-/// claiming it. Kept in a single struct so the send fast path touches one
-/// cache location per destination.
-#[derive(Debug)]
-pub(crate) struct EdgeSlot<M> {
-    /// Matches the engine tick of the round the slot was last written.
-    pub(crate) stamp: u64,
-    /// The in-flight message, taken by the receiver.
-    pub(crate) msg: Option<M>,
-}
-
-impl<M> EdgeSlot<M> {
-    pub(crate) fn vacant() -> EdgeSlot<M> {
-        EdgeSlot {
-            stamp: 0,
-            msg: None,
-        }
-    }
-}
-
 /// Where a send's payload lands: the delivery backend behind a
 /// [`SendApi`].
 ///
-/// The sequential engine owns the whole slot array ([`Sink::Direct`]); a
-/// parallel shard owns only its contiguous slot range and stages
-/// cross-shard payloads in per-destination buffers ([`Sink::Sharded`]).
-/// Keeping both behind one enum lets the *same* [`Protocol`] trait (and
-/// the same protocol code) drive either engine; the per-message cost is
-/// one perfectly predicted branch.
+/// Both engines deliver the same way, into claim words over a contiguous
+/// range of receiver-side edge ids plus the round's payload arena. The
+/// sequential engine owns every word; a parallel shard owns only the
+/// words of its own nodes and routes payloads for other shards' nodes
+/// through [`CrossShard`]. One struct behind the same [`Protocol`]
+/// trait lets the same protocol code drive either engine.
 #[derive(Debug)]
-pub(crate) enum Sink<'a, M> {
-    /// The whole graph's slots, as in the sequential engine.
-    Direct {
-        /// Per-directed-edge delivery slots, indexed by the
-        /// *receiver-side* [`mis_graphs::EdgeId`], i.e. the slot
-        /// `dst → src`. The slot stamp doubles as the
-        /// duplicate-destination filter.
-        slots: &'a mut [EdgeSlot<M>],
-        /// Bit `v` marks `v` awake this round; payloads for sleeping
-        /// receivers are dropped at send time (the model loses them
-        /// anyway), so slots never retain undelivered messages.
-        awake: &'a NodeBits,
-    },
-    /// One shard's view: local slots plus cross-shard staging buffers.
-    Sharded(ShardSink<'a, M>),
+pub(crate) struct Sink<'a, M> {
+    /// Claim words of the edges this sink owns, indexed by the
+    /// *receiver-side* [`mis_graphs::EdgeId`] (the edge `dst → src`)
+    /// minus `slot_base`. A word claimed this round doubles as the
+    /// duplicate-destination filter.
+    pub(crate) claims: &'a mut [u64],
+    /// This round's payloads; a claim word's low half indexes it.
+    pub(crate) arena: &'a mut Vec<M>,
+    /// Bit `v - node_base` marks receiver `v` awake this round; payloads
+    /// for sleeping receivers are dropped at send time (the model loses
+    /// them anyway).
+    pub(crate) awake: &'a NodeBits,
+    /// First node whose claim words this sink owns.
+    pub(crate) node_base: NodeId,
+    /// One past the last node whose claim words this sink owns.
+    pub(crate) node_end: NodeId,
+    /// First edge id this sink owns.
+    pub(crate) slot_base: EdgeId,
+    /// Routing for receivers outside `node_base..node_end`; `None` on the
+    /// sequential engine, where every receiver is local.
+    pub(crate) cross: Option<CrossShard<'a, M>>,
 }
 
-/// The sharded delivery backend of one parallel worker; see
-/// [`Sink::Sharded`].
+/// How a parallel shard routes payloads to other shards' nodes; see
+/// [`Sink::cross`].
 #[derive(Debug)]
-pub(crate) struct ShardSink<'a, M> {
-    /// Delivery slots of this shard's slot range only; index
-    /// `global EdgeId - slot_base`.
-    pub(crate) slots: &'a mut [EdgeSlot<M>],
-    /// Duplicate-destination stamps over this shard's *outgoing* slots
-    /// (same index space as `slots`). The receiver-side stamp cannot be
-    /// used here because the receiver may live on another shard.
-    pub(crate) out_stamp: &'a mut [u64],
-    /// Awake bits of this shard's nodes; bit `NodeId - node_base`.
-    pub(crate) awake: &'a NodeBits,
-    /// First node owned by this shard.
-    pub(crate) node_base: NodeId,
-    /// One past this shard's last node.
-    pub(crate) node_end: NodeId,
-    /// First slot owned by this shard.
-    pub(crate) slot_base: EdgeId,
+pub(crate) struct CrossShard<'a, M> {
+    /// Duplicate-destination stamps over this shard's *outgoing* edges
+    /// (index `EdgeId - slot_base`), holding the tick of the round each
+    /// edge last carried a cross-shard send. The receiver-side claim word
+    /// cannot be used here because it lives on another shard.
+    pub(crate) out_stamp: &'a mut [u32],
     /// Slot boundaries of all shards (`k + 1` entries), for O(log k)
     /// destination-shard classification of cross-shard payloads.
     pub(crate) slot_starts: &'a [EdgeId],
@@ -512,17 +590,18 @@ pub(crate) struct ShardSink<'a, M> {
     pub(crate) pair_local: &'a [u32],
     /// Cross-shard staging buffers, one per *cut* destination pair
     /// (indexed through `pair_local`); entry `(rid, dst, msg)` is the
-    /// receiver-side slot (and its owning node) the destination shard
-    /// writes on this shard's behalf during the exchange step.
+    /// receiver-side edge (and its owning node) the destination shard
+    /// claims on this shard's behalf during the exchange step.
     pub(crate) out: &'a mut [Vec<crate::par::exchange::Staged<M>>],
 }
 
 /// Resolved placement of one payload; computed by [`SendApi::claim`].
 enum Place {
-    /// Store in the sink's slot slice at this (sink-local) index.
+    /// Deliver locally: the claim word at this (sink-local) index gets
+    /// the payload's arena index.
     Slot(usize),
     /// Stage for the exchange step: `(staging-buffer index, receiver
-    /// slot, destination node)` — the buffer index is the sender
+    /// edge, destination node)` — the buffer index is the sender
     /// shard's *local cut-pair* rank of the destination shard, not the
     /// shard id; the destination rides along so the receiving shard's
     /// apply loop needs no graph lookups.
@@ -565,9 +644,9 @@ pub struct SendApi<'a, M: Message> {
     round: Round,
     graph: &'a Graph,
     rng: &'a mut SmallRng,
-    /// Stamp of the current round; a slot with this stamp already holds a
-    /// message sent this round.
-    tick: u64,
+    /// Tick of the current round; an edge whose claim word carries it
+    /// was already sent on this round.
+    tick: u32,
     sink: Sink<'a, M>,
     /// Every node is awake this round: skip the per-message receiver
     /// check entirely (the dense-workload fast path).
@@ -593,7 +672,7 @@ impl<'a, M: Message> SendApi<'a, M> {
         round: Round,
         graph: &'a Graph,
         rng: &'a mut SmallRng,
-        tick: u64,
+        tick: u32,
         sink: Sink<'a, M>,
         all_awake: bool,
         faults: FaultPlan<'a>,
@@ -661,11 +740,11 @@ impl<'a, M: Message> SendApi<'a, M> {
     /// sorted neighbor list (delivered at the end of this round if that
     /// neighbor is awake, silently lost otherwise).
     ///
-    /// This is the engine's O(1) fast path: the destination slot is found
-    /// through the precomputed reverse-edge table, with no neighbor
-    /// search. Protocols that already iterate their adjacency list (or
-    /// that precompute a rank via [`InitApi::neighbor_rank`]) should
-    /// prefer it over the id-addressed [`SendApi::send`].
+    /// This is the engine's O(1) fast path: the destination's claim
+    /// word is found through the precomputed reverse-edge table, with no
+    /// neighbor search. Protocols that already iterate their adjacency
+    /// list (or that precompute a rank via [`InitApi::neighbor_rank`])
+    /// should prefer it over the id-addressed [`SendApi::send`].
     ///
     /// # Panics
     ///
@@ -720,13 +799,15 @@ impl<'a, M: Message> SendApi<'a, M> {
         }
     }
 
-    /// Sends a copy of `msg` to every neighbor; the last neighbor
-    /// receives the original without a clone.
+    /// Sends `msg` to every neighbor. The payload is stored once: every
+    /// receiver on this engine (or, on the parallel engine, this shard)
+    /// reads the same copy, and only payloads staged for another shard
+    /// are cloned.
     ///
     /// Every copy has the same size, so the CONGEST bit accounting and
     /// bandwidth check are hoisted out of the per-neighbor loop; each
-    /// copy costs one reverse-edge lookup, one stamp compare, and one
-    /// slot write.
+    /// neighbor costs one reverse-edge lookup, one tick compare, and one
+    /// claim-word write.
     pub fn broadcast(&mut self, msg: M) {
         if self.error.is_some() {
             return;
@@ -754,17 +835,27 @@ impl<'a, M: Message> SendApi<'a, M> {
                 self.tally.violations += deg as u64;
             }
         }
-        let last = range.end - 1;
-        for eid in range.start..last {
-            match self.claim(eid) {
-                Some(Place::Lost) => {} // receiver asleep: skip the clone
-                Some(Place::Dropped) => self.tally.dropped += 1, // channel loss: no clone either
-                Some(place) => self.place(place, msg.clone()),
-                None => return,
+        // The index the shared copy takes when it is pushed below; no
+        // other push happens in between.
+        let shared = self.sink.arena.len() as u32;
+        let mut stored = false;
+        for eid in range {
+            let Some(place) = self.claim(eid) else {
+                break; // duplicate destination recorded
+            };
+            match place {
+                Place::Slot(i) => {
+                    self.sink.claims[i] = claim_word(self.tick, shared);
+                    self.tally.delivered += 1;
+                    stored = true;
+                }
+                Place::Stage(..) => self.place(place, msg.clone()),
+                Place::Lost => {}
+                Place::Dropped => self.tally.dropped += 1,
             }
         }
-        if let Some(place) = self.claim(last) {
-            self.place(place, msg); // final copy moves, no clone
+        if stored {
+            self.sink.arena.push(msg);
         }
     }
 
@@ -772,123 +863,91 @@ impl<'a, M: Message> SendApi<'a, M> {
     /// its payload goes, or returns `None` after recording a
     /// duplicate-destination violation.
     ///
-    /// Duplicate detection differs by sink: the sequential engine stamps
-    /// the receiver-side slot (one touch claims and delivers), while a
-    /// shard stamps its sender-side `out_stamp` — the receiver slot may
-    /// belong to another shard, but the *outgoing* slot always belongs to
-    /// the sender, so the check stays lock-free and thread-local.
+    /// A local receiver's claim word is both the delivery and the
+    /// duplicate check: one touch does both, in either engine. A receiver
+    /// on another shard has its claim word there, so the shard checks its
+    /// sender-side `out_stamp` instead — the *outgoing* edge always
+    /// belongs to the sender, so the check stays lock-free and
+    /// thread-local.
     #[inline]
     fn claim(&mut self, eid: mis_graphs::EdgeId) -> Option<Place> {
-        match &mut self.sink {
-            Sink::Direct { slots, awake } => {
-                let rid = self.graph.reverse_edge(eid);
-                let slot = &mut slots[rid];
-                if slot.stamp == self.tick {
-                    *self.error = Some(SimError::DuplicateDestination {
-                        src: self.node,
-                        dst: self.graph.edge_target(eid),
-                        round: self.round,
-                    });
-                    return None;
-                }
-                slot.stamp = self.tick;
-                let awake = self.all_awake || awake.get(self.graph.edge_target(eid) as usize);
-                Some(if !awake {
-                    Place::Lost
-                } else if self.faults.drops(self.round, rid) {
-                    // The slot keeps its claim stamp (duplicate sends to
-                    // the same receiver are still CONGEST violations) but
-                    // never gets a payload; zero-copy delivery parks old
-                    // payloads in slots, so wipe any stale one or the
-                    // claim stamp would resurrect it for the receiver.
-                    slot.msg = None;
-                    Place::Dropped
-                } else {
-                    Place::Slot(rid)
-                })
-            }
-            Sink::Sharded(s) => {
-                let dst = self.graph.edge_target(eid);
-                let rid = self.graph.reverse_edge(eid);
-                if dst >= s.node_base && dst < s.node_end {
-                    // Local receiver: the receiver-side slot is this
-                    // shard's own memory, so its claim stamp doubles as
-                    // the duplicate check exactly as in the sequential
-                    // engine — local traffic never touches the
-                    // `out_stamp` array, keeping it out of the send
-                    // half's working set (at one shard it is never
-                    // touched at all).
-                    let slot = &mut s.slots[rid - s.slot_base];
-                    if slot.stamp == self.tick {
-                        *self.error = Some(SimError::DuplicateDestination {
-                            src: self.node,
-                            dst,
-                            round: self.round,
-                        });
-                        return None;
-                    }
-                    slot.stamp = self.tick;
-                    let awake = self.all_awake || s.awake.get((dst - s.node_base) as usize);
-                    Some(if !awake {
-                        Place::Lost
-                    } else if self.faults.drops(self.round, rid) {
-                        // Keyed on the *global* receiver-side id, the
-                        // same input the sequential engine hashes. The
-                        // claim stamp must stand without a payload
-                        // (duplicate sends are still CONGEST
-                        // violations), so wipe any stale parked payload
-                        // or the stamp would resurrect it.
-                        slot.msg = None;
-                        Place::Dropped
-                    } else {
-                        Place::Slot(rid - s.slot_base)
-                    })
-                } else {
-                    let out = &mut s.out_stamp[eid - s.slot_base];
-                    if *out == self.tick {
-                        *self.error = Some(SimError::DuplicateDestination {
-                            src: self.node,
-                            dst,
-                            round: self.round,
-                        });
-                        return None;
-                    }
-                    *out = self.tick;
-                    // Cross-shard: stage for the exchange step; the
-                    // owning shard performs the awake check on apply.
-                    let shard = s.slot_starts.partition_point(|&b| b <= rid) - 1;
-                    let pair = s.pair_local[shard];
-                    debug_assert_ne!(
-                        pair,
-                        crate::par::partition::NO_PAIR,
-                        "cross payload on a pair the plan saw no cut edges for"
-                    );
-                    Some(Place::Stage(pair as usize, rid, dst))
-                }
-            }
+        let dst = self.graph.edge_target(eid);
+        let rid = self.graph.reverse_edge(eid);
+        let sink = &mut self.sink;
+        if dst < sink.node_base || dst >= sink.node_end {
+            return self.claim_cross(eid, rid, dst);
         }
+        let i = rid - sink.slot_base;
+        if claimed(sink.claims[i], self.tick) {
+            *self.error = Some(SimError::DuplicateDestination {
+                src: self.node,
+                dst,
+                round: self.round,
+            });
+            return None;
+        }
+        // Claimed without a payload until `place` stores one: a sleeping
+        // receiver or a loss drop leaves it so, and a duplicate send to
+        // the same receiver is still caught.
+        sink.claims[i] = claim_word(self.tick, NO_PAYLOAD);
+        let awake = self.all_awake || sink.awake.get((dst - sink.node_base) as usize);
+        Some(if !awake {
+            Place::Lost
+        } else if self.faults.drops(self.round, rid) {
+            // Keyed on the *global* receiver-side id, so every engine and
+            // shard layout draws the same decision.
+            Place::Dropped
+        } else {
+            Place::Slot(i)
+        })
     }
 
-    /// Stores a claimed payload: write the slot (stamping it so the
-    /// receiver's [`Inbox`] sees it), stage it for the cross-shard
-    /// exchange, or drop it (sleeping receiver). A stored slot *is* the
-    /// delivery — the receiver borrows it in place — so `delivered` is
+    /// [`SendApi::claim`] for a receiver on another shard: stage the
+    /// payload for the exchange step; the owning shard performs the awake
+    /// and loss checks when it applies it.
+    fn claim_cross(&mut self, eid: mis_graphs::EdgeId, rid: EdgeId, dst: NodeId) -> Option<Place> {
+        let sink = &mut self.sink;
+        let cross = sink
+            .cross
+            .as_mut()
+            .expect("a sink without cross-shard routing owns every receiver");
+        let out = &mut cross.out_stamp[eid - sink.slot_base];
+        if *out == self.tick {
+            *self.error = Some(SimError::DuplicateDestination {
+                src: self.node,
+                dst,
+                round: self.round,
+            });
+            return None;
+        }
+        *out = self.tick;
+        let shard = cross.slot_starts.partition_point(|&b| b <= rid) - 1;
+        let pair = cross.pair_local[shard];
+        debug_assert_ne!(
+            pair,
+            crate::par::partition::NO_PAIR,
+            "cross payload on a pair the plan saw no cut edges for"
+        );
+        Some(Place::Stage(pair as usize, rid, dst))
+    }
+
+    /// Stores a claimed payload: push it to the arena and point the claim
+    /// word at it (the receiver's [`Inbox`] reads it there), stage it for
+    /// the cross-shard exchange, or drop it (sleeping receiver, channel
+    /// loss). A stored payload *is* the delivery, so `delivered` is
     /// tallied here rather than in the receive half.
     #[inline]
     fn place(&mut self, place: Place, msg: M) {
         match place {
             Place::Slot(i) => {
-                let slot = match &mut self.sink {
-                    Sink::Direct { slots, .. } => &mut slots[i],
-                    Sink::Sharded(s) => &mut s.slots[i],
-                };
-                slot.stamp = self.tick;
-                slot.msg = Some(msg);
+                let sink = &mut self.sink;
+                sink.claims[i] = claim_word(self.tick, sink.arena.len() as u32);
+                sink.arena.push(msg);
                 self.tally.delivered += 1;
             }
-            Place::Stage(pair, rid, dst) => match &mut self.sink {
-                Sink::Sharded(s) => s.out[pair].push((rid, dst, msg)),
-                Sink::Direct { .. } => unreachable!("direct sink never stages"),
+            Place::Stage(pair, rid, dst) => match &mut self.sink.cross {
+                Some(cross) => cross.out[pair].push((rid, dst, msg)),
+                None => unreachable!("only a shard sink stages"),
             },
             Place::Lost => {}
             Place::Dropped => self.tally.dropped += 1,
@@ -1006,24 +1065,31 @@ impl<'a> RecvApi<'a> {
     }
 }
 
-/// Reusable buffers of the engine hot loop, sized for one graph.
+/// Reusable buffers of the sequential engine, sized for one graph.
 ///
 /// The steady-state round loop allocates nothing: wake buckets, the awake
-/// list, per-node flag words, and per-edge message slots all live here
-/// and are recycled round over round (and run over run with
-/// [`run_with_scratch`]). There is **no inbox buffer**: receivers borrow
-/// messages in place from `slots` through the [`Inbox`] view. Slot stamps
-/// are compared against a monotonically increasing tick, so reuse never
-/// requires clearing the O(m) slot array.
+/// list, per-node flag words, and per-edge claim words all live here and
+/// are recycled round over round, and run over run with
+/// [`run_with_scratch`]. There is **no inbox buffer**: receivers borrow
+/// payloads in place from the round's arena through the [`Inbox`] view.
+///
+/// The scratch has no message type. Claim words hold a round tick and an
+/// arena index, never a payload, so runs whose protocols use different
+/// [`Protocol::Msg`] types share one scratch. A [`crate::Pipeline`] owns
+/// one and passes it to every sequential phase, so a solve sizes the
+/// claim array once. Ticks only grow, so reuse never clears the O(m)
+/// claim array; on 32-bit wrap-around it is zeroed once and the tick
+/// restarts.
 #[derive(Debug)]
-pub struct EngineScratch<M> {
+pub struct EngineScratch {
     sched: BucketScheduler,
     /// Per-node RNGs, re-derived in place from `(seed, salt, node)` at
     /// the start of every run.
     rngs: Vec<SmallRng>,
-    /// Monotone busy-round counter; never reset, so stale stamps from
-    /// earlier rounds (or earlier runs) can never collide.
-    tick: u64,
+    /// Busy-round counter, carried across runs, so stale claim words
+    /// from earlier rounds (or earlier runs) can never match. 32 bits, to
+    /// fit a claim word's high half; see [`next_tick`] for wrap-around.
+    tick: u32,
     /// Bit `v` set iff node `v` has halted (packed, 64 nodes per word).
     halted: NodeBits,
     /// Bit `v` set iff `v` is awake in the current round (also the
@@ -1034,25 +1100,23 @@ pub struct EngineScratch<M> {
     active: Vec<NodeId>,
     /// Wakeups requested by the node currently in `init`/`recv`.
     wakes: Vec<Round>,
-    /// Per-directed-edge delivery slots, indexed by receiver-side
-    /// [`mis_graphs::EdgeId`]; `slots[e].stamp == tick` marks a message
-    /// sent this round. Stamp and payload share one struct so a send
-    /// touches a single cache line per destination, and the receiver's
-    /// [`Inbox`] view reads the payload from the same line.
-    slots: Vec<EdgeSlot<M>>,
+    /// One claim word per directed edge, indexed by receiver-side
+    /// [`mis_graphs::EdgeId`]; a word carrying the current tick marks an
+    /// edge sent on this round (see [`claim_word`]).
+    claims: Vec<u64>,
 }
 
-impl<M: Message> EngineScratch<M> {
+impl EngineScratch {
     /// Scratch sized for `graph`.
-    pub fn new(graph: &Graph) -> EngineScratch<M> {
+    pub fn new(graph: &Graph) -> EngineScratch {
         let mut s = EngineScratch::empty();
         s.fit_to(graph);
         s
     }
 
-    /// Unsized scratch; [`run`] starts here and lets `run_with_scratch`'s
-    /// `fit_to` do the single sizing pass.
-    fn empty() -> EngineScratch<M> {
+    /// Unsized scratch; [`run`] and [`crate::Pipeline`] start here and
+    /// let the first run's `fit_to` do the single sizing pass.
+    pub(crate) fn empty() -> EngineScratch {
         EngineScratch {
             sched: BucketScheduler::new(),
             rngs: Vec::new(),
@@ -1061,28 +1125,28 @@ impl<M: Message> EngineScratch<M> {
             awake: NodeBits::new(),
             active: Vec::new(),
             wakes: Vec::new(),
-            slots: Vec::new(),
+            claims: Vec::new(),
         }
     }
 
     /// Resizes for `graph` and resets per-run state (halts, queue). The
-    /// tick — and therefore the slot stamps — carries over untouched.
+    /// tick — and therefore every claim word — carries over untouched:
+    /// no payload outlives its round, so there is nothing to wipe.
     fn fit_to(&mut self, graph: &Graph) {
         let n = graph.n();
-        let dm = graph.directed_m();
         self.halted.fit(n);
         self.awake.fit(n);
-        self.slots.resize_with(dm, EdgeSlot::vacant);
-        // Zero-copy delivery parks payloads in their slots until the edge
-        // is next written, so a finished run (and, a fortiori, an aborted
-        // one) leaves messages behind; drop them so a reused scratch
-        // never outlives payloads from an earlier run.
-        for slot in &mut self.slots {
-            slot.msg = None;
-        }
+        fit_claims(&mut self.claims, graph.directed_m());
         self.sched.clear();
         self.active.clear();
         self.wakes.clear();
+    }
+
+    /// Starts the tick at `tick`, so a test can run rounds across the
+    /// 32-bit wrap-around.
+    #[cfg(test)]
+    pub(crate) fn start_tick_at(&mut self, tick: u32) {
+        self.tick = tick;
     }
 
     /// Capacities of every growable buffer, in a fixed order. Two runs of
@@ -1094,11 +1158,12 @@ impl<M: Message> EngineScratch<M> {
     /// option).
     ///
     /// The fixed order is: RNGs, halted words, awake words, active list,
-    /// wake list, edge slots, then the scheduler's buffers — one entry
+    /// wake list, claim words, then the scheduler's buffers — one entry
     /// per growable buffer, [`EngineScratch::FIXED_BUFFERS`] before the
     /// scheduler. (The pre-zero-copy engine had one more: a per-node
     /// inbox buffer, retired when [`Inbox`] made delivery borrow in
-    /// place.)
+    /// place.) The per-run payload arena is not scratch: it is typed, so
+    /// it lives in the run.
     pub fn capacity_signature(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(8);
         out.push(self.rngs.capacity());
@@ -1106,7 +1171,7 @@ impl<M: Message> EngineScratch<M> {
         self.awake.capacity_signature(&mut out);
         out.push(self.active.capacity());
         out.push(self.wakes.capacity());
-        out.push(self.slots.capacity());
+        out.push(self.claims.capacity());
         self.sched.capacity_signature(&mut out);
         out
     }
@@ -1153,9 +1218,10 @@ pub fn run_observed<P: Protocol>(
 
 /// [`run`], reusing caller-owned scratch buffers across runs.
 ///
-/// Repeated executions on the same graph (parameter sweeps, benchmark
-/// loops, repeated phases with one message type) skip all per-run buffer
-/// allocation except the result itself.
+/// Repeated executions (parameter sweeps, benchmark loops, the phases of
+/// a [`crate::Pipeline`], whatever their message types) skip all per-run
+/// buffer allocation except the result and the round payload arena. A
+/// scratch sized for a larger graph serves a smaller one as it is.
 ///
 /// # Errors
 ///
@@ -1164,7 +1230,7 @@ pub fn run_with_scratch<P: Protocol>(
     graph: &Graph,
     protocol: &P,
     cfg: &SimConfig,
-    scratch: &mut EngineScratch<P::Msg>,
+    scratch: &mut EngineScratch,
 ) -> Result<SimResult<P::State>, SimError> {
     run_inner(graph, protocol, cfg, scratch, None)
 }
@@ -1179,7 +1245,7 @@ pub fn run_with_scratch_observed<P: Protocol>(
     graph: &Graph,
     protocol: &P,
     cfg: &SimConfig,
-    scratch: &mut EngineScratch<P::Msg>,
+    scratch: &mut EngineScratch,
     observer: &mut dyn RoundObserver,
 ) -> Result<SimResult<P::State>, SimError> {
     run_inner(graph, protocol, cfg, scratch, Some(observer))
@@ -1192,7 +1258,7 @@ fn run_inner<P: Protocol>(
     graph: &Graph,
     protocol: &P,
     cfg: &SimConfig,
-    scratch: &mut EngineScratch<P::Msg>,
+    scratch: &mut EngineScratch,
     mut observer: Option<&mut dyn RoundObserver>,
 ) -> Result<SimResult<P::State>, SimError> {
     cfg.validate()?;
@@ -1212,8 +1278,12 @@ fn run_inner<P: Protocol>(
         awake,
         active,
         wakes,
-        slots,
+        claims,
     } = scratch;
+    // This run's payloads, one round at a time: typed, so it lives here
+    // rather than in the scratch; cleared after every busy round, so its
+    // capacity is reused round over round.
+    let mut arena: Vec<P::Msg> = Vec::new();
 
     // Initialization: free local pre-computation, may request wakeups.
     let mut states: Vec<P::State> = Vec::with_capacity(n);
@@ -1234,8 +1304,7 @@ fn run_inner<P: Protocol>(
                 max_rounds: cfg.max_rounds,
             });
         }
-        *tick += 1;
-        let stamp = *tick;
+        let stamp = next_tick(tick, || claims.fill(0));
 
         // Drain the wake bucket: the awake bit dedups repeated wakeups
         // and the halted bit drops dead nodes; no sort needed (processing
@@ -1286,15 +1355,21 @@ fn run_inner<P: Protocol>(
             metrics.bits_sent,
         );
 
-        // Send half: messages go straight into per-edge slots; each
-        // node's CONGEST accounting is tallied locally and committed to
-        // the metrics in one batch per node, not one update per message.
+        // Send half: each send claims its edge and pushes its payload to
+        // the arena; each node's CONGEST accounting is tallied locally
+        // and committed to the metrics in one batch per node, not one
+        // update per message.
         let all_awake = active.len() == n;
         let mut error: Option<SimError> = None;
         for &v in active.iter() {
-            let sink = Sink::Direct {
-                slots: &mut slots[..],
+            let sink = Sink {
+                claims: &mut claims[..],
+                arena: &mut arena,
                 awake: &*awake,
+                node_base: 0,
+                node_end: n as NodeId,
+                slot_base: 0,
+                cross: None,
             };
             let mut api = SendApi::new(
                 v,
@@ -1315,36 +1390,27 @@ fn run_inner<P: Protocol>(
             }
         }
 
-        // Radio-collision pass: between the send half (all slots
+        // Radio-collision pass: between the send half (all claims
         // written) and the receive half, each receiver that heard ≥ 2
         // simultaneous transmissions loses them all. Receiver-side and
-        // computable from the in-edge slot range alone, so the sharded
+        // computable from the in-edge claim range alone, so the sharded
         // engine runs the identical pass on its local range.
         if faults.is_collision() {
             for &v in active.iter() {
-                let range = graph.edge_range(v);
-                let hits = slots[range.clone()]
-                    .iter()
-                    .filter(|s| s.stamp == stamp && s.msg.is_some())
-                    .count() as u64;
-                if hits >= 2 {
-                    for slot in &mut slots[range] {
-                        if slot.stamp == stamp {
-                            slot.msg = None;
-                        }
-                    }
-                    metrics.messages_delivered -= hits;
-                    metrics.messages_dropped += hits;
-                    metrics.collisions += 1;
-                }
+                wipe_collision(&mut claims[graph.edge_range(v)], stamp, &mut metrics);
             }
         }
 
         // Receive half: each awake node reacts to a borrowed view of its
-        // slot range (ascending sender order by CSR construction) —
-        // payloads are read in place, never copied out.
+        // claim range (ascending sender order by CSR construction) —
+        // payloads are read in place in the arena, never copied out.
         for &v in active.iter() {
-            let inbox = Inbox::new(&slots[graph.edge_range(v)], graph.neighbors(v), stamp);
+            let inbox = Inbox::new(
+                &claims[graph.edge_range(v)],
+                &arena,
+                graph.neighbors(v),
+                stamp,
+            );
             wakes.clear();
             let mut halt = false;
             let mut api = RecvApi::new(v, round, graph, &mut rngs[v as usize], wakes, &mut halt);
@@ -1357,6 +1423,7 @@ fn run_inner<P: Protocol>(
                 }
             }
         }
+        arena.clear();
 
         if let Some(obs) = observer.as_deref_mut() {
             obs.on_round(&RoundEvent {
@@ -1899,17 +1966,17 @@ mod tests {
     #[test]
     fn capacity_signature_is_fixed_buffers_plus_scheduler() {
         let g = generators::grid2d(4, 4);
-        let s: EngineScratch<u32> = EngineScratch::new(&g);
+        let s = EngineScratch::new(&g);
         let mut sched_sig = Vec::new();
         s.sched.capacity_signature(&mut sched_sig);
         assert_eq!(
             s.capacity_signature().len(),
-            EngineScratch::<u32>::FIXED_BUFFERS + sched_sig.len()
+            EngineScratch::FIXED_BUFFERS + sched_sig.len()
         );
     }
 
     /// Payloads addressed to sleeping receivers are dropped at send
-    /// time, not parked in delivery slots until the edge is next used.
+    /// time, not stored in the round's arena.
     #[test]
     fn undelivered_payloads_are_dropped_at_send_time() {
         use std::rc::Rc;

@@ -319,8 +319,9 @@ fn merge<S>(
 
 /// Dispatches on [`SimConfig::threads`]: `0` runs the sequential engine
 /// on the calling thread, anything else runs [`run_parallel`] with that
-/// many workers. Bit-identical either way; this is what [`crate::Pipeline`]
-/// and the algorithm entry points call.
+/// many workers. Bit-identical either way; this is what single-run
+/// algorithm entry points call ([`crate::Pipeline`] dispatches the same
+/// way, with its shared [`crate::EngineScratch`] on the sequential arm).
 ///
 /// # Errors
 ///
@@ -610,6 +611,71 @@ mod tests {
         assert_eq!(c.states, a.states);
     }
 
+    /// Every node broadcasts once, in round 0, and halts.
+    struct Shout;
+    impl Protocol for Shout {
+        type State = ();
+        type Msg = u32;
+        fn init(&self, _node: NodeId, api: &mut InitApi<'_>) {
+            api.wake_at(0);
+        }
+        fn send(&self, _s: &mut (), api: &mut SendApi<'_, u32>) {
+            api.broadcast(api.node());
+        }
+        fn recv(&self, _s: &mut (), _i: Inbox<'_, u32>, api: &mut RecvApi<'_>) {
+            api.halt();
+        }
+    }
+
+    /// Rounds across the 32-bit tick wrap-around, on both engines. A
+    /// warm-up run leaves every claim word (and each shard's
+    /// `out_stamp` on every cut edge) holding tick 1; then the tick
+    /// starts just below 2^32, and a 14-round run crosses the wrap after
+    /// its first round, so its second round has tick 1 again. Unless the
+    /// wrap zeroes both arrays, the stale words resurface as phantom
+    /// payloads or false duplicate sends.
+    #[test]
+    fn tick_wrap_around_replays_fresh_runs() {
+        use crate::channel::ChannelModel;
+        use crate::engine::run_with_scratch;
+        let g = generators::grid2d(10, 9);
+        let proto = Gossip { rounds: 12 };
+        let below_wrap = u32::MAX - 1;
+        for ch in [
+            ChannelModel::Ideal,
+            ChannelModel::Loss { p: 0.05 },
+            ChannelModel::RadioCollision,
+        ] {
+            let cfg = SimConfig::seeded(6).with_channel(ch.clone());
+            let fresh = run(&g, &proto, &cfg).unwrap();
+            assert!(fresh.metrics.busy_rounds > 5, "the run must cross the wrap");
+            match ch {
+                ChannelModel::Loss { .. } => assert!(fresh.metrics.messages_dropped > 0),
+                ChannelModel::RadioCollision => assert!(fresh.metrics.collisions > 0),
+                _ => {}
+            }
+
+            let mut scratch = crate::EngineScratch::new(&g);
+            run_with_scratch(&g, &Shout, &cfg, &mut scratch).unwrap();
+            scratch.start_tick_at(below_wrap);
+            let seq = run_with_scratch(&g, &proto, &cfg, &mut scratch).unwrap();
+            assert_eq!(seq.metrics, fresh.metrics, "{ch:?} sequential");
+            assert_eq!(seq.states, fresh.states, "{ch:?} sequential");
+
+            for threads in [1, 2, 4] {
+                let mut scratch = ParScratch::new(&g, threads);
+                run_parallel_with_scratch(&g, &Shout, &cfg, threads, &mut scratch).unwrap();
+                for shard in &mut scratch.shards {
+                    shard.start_tick_at(below_wrap);
+                }
+                let par =
+                    run_parallel_with_scratch(&g, &proto, &cfg, threads, &mut scratch).unwrap();
+                assert_eq!(par.metrics, fresh.metrics, "{ch:?} @ {threads} threads");
+                assert_eq!(par.states, fresh.states, "{ch:?} @ {threads} threads");
+            }
+        }
+    }
+
     #[test]
     fn more_threads_than_nodes() {
         let g = generators::path(3);
@@ -621,7 +687,7 @@ mod tests {
     }
 
     /// Duplicate sends crossing a shard boundary must still be caught —
-    /// by the sender-side stamp, since the receiver slot is remote.
+    /// by the sender-side stamp, since the receiver's claim word is remote.
     struct CrossDouble;
     impl Protocol for CrossDouble {
         type State = ();

@@ -12,9 +12,9 @@
 //!
 //! Within a round, per-node work is already order-free by construction:
 //! every node draws from its own RNG (derived from `(seed, salt, node)`),
-//! and messages land in per-directed-edge slots indexed by the receiver's
-//! CSR layout, so inboxes come out ascending-by-sender no matter who
-//! wrote first. The sequential engine exploits this to skip sorting; the
+//! and messages are claimed in per-directed-edge words indexed by the
+//! receiver's CSR layout, so inboxes come out ascending-by-sender no
+//! matter who wrote first. The sequential engine exploits this to skip sorting; the
 //! parallel engine exploits it to skip coordination.
 //!
 //! # Architecture: the one-barrier round
@@ -31,11 +31,12 @@
 //!        │                        ═══ barrier ═══                      │
 //!        │ read snapshot: agreed round = min, busy = Σ active,         │
 //!        │                abort if any shard published failure         │
-//!        │ send: local slots directly, cross payloads per cut pair     │
+//!        │ send: claim local edges + push to own arena, cross payloads │
+//!        │   staged per cut pair                                       │
 //!        │ bump every out-pair sequence counter (cut-aware: only       │
 //!        │   non-empty buffers post; empty pairs publish counter only) │
 //!        │ apply: await in-pair counters of participating senders,     │
-//!        │   drain payload cells into own slots; recv half             │
+//!        │   drain payload cells into own claims + arena; recv half    │
 //!        └───────────── next iteration's barrier orders r before r+1 ──┘
 //! ```
 //!
@@ -46,9 +47,9 @@
 //!   with per-pair capacities, so the exchange allocates one cell per
 //!   cut pair instead of a `k²` mailbox matrix.
 //! * [`shard`] — each worker owns one shard's nodes: their RNGs, calendar
-//!   scheduler, halt flags, awake stamps, delivery slots, and states.
-//!   Local sends write the shard's own slots directly; the per-round
-//!   loop lives here.
+//!   scheduler, halt and awake bits, claim words, round arena, and
+//!   states. Local sends claim the shard's own words directly; the
+//!   per-round loop lives here.
 //! * [`exchange`] — all inter-shard synchronization: the spinning
 //!   rendezvous barrier, the parity-double-buffered round-agreement
 //!   snapshot, and the per-cut-pair payload cells whose atomic sequence

@@ -13,20 +13,22 @@
 //! previous round's local-only fast path is the OR of the posted flags.
 //!
 //! The rest of the round runs with **no further barrier**: participants
-//! compute + send (local deliveries straight into their slots, cross
-//! payloads staged per cut pair), then bump every out-pair's sequence
-//! counter; receivers wait on exactly the counters of the shards the
-//! snapshot says participated ([`Exchange::await_seq`]), apply, run the
-//! receive half, and loop back to the next publish. The barrier that
-//! starts iteration `i + 1` is what orders round `i`'s takes before
-//! round `i + 1`'s posts, so each pair cell double-buffers at depth 1.
+//! compute + send (local deliveries straight into their claim words and
+//! arena, cross payloads staged per cut pair), then bump every
+//! out-pair's sequence counter; receivers wait on exactly the counters
+//! of the shards the snapshot says participated
+//! ([`Exchange::await_seq`]), apply, run the receive half, and loop back
+//! to the next publish. The barrier that starts iteration `i + 1` is what
+//! orders round `i`'s takes before round `i + 1`'s posts, so each pair
+//! cell double-buffers at depth 1.
 
 use super::exchange::{Exchange, RoundSync};
 use super::partition::ShardPlan;
 use crate::bits::NodeBits;
 use crate::channel::FaultPlan;
 use crate::engine::{
-    EdgeSlot, Inbox, InitApi, Protocol, RecvApi, SendApi, ShardSink, SimConfig, Sink,
+    claim_word, fit_claims, next_tick, wipe_collision, CrossShard, Inbox, InitApi, Protocol,
+    RecvApi, SendApi, SimConfig, Sink,
 };
 use crate::error::SimError;
 use crate::message::Message;
@@ -41,17 +43,20 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Reusable per-shard buffers, the sharded mirror of
 /// [`crate::EngineScratch`]: everything a worker touches per round lives
-/// here, sized once and recycled across rounds and runs.
+/// here, sized once and recycled across rounds and runs. Delivery uses
+/// the same type-free claim words as the sequential scratch; only the
+/// cross-shard staging buffers are typed.
 #[derive(Debug)]
 pub(crate) struct ShardScratch<M> {
     sched: BucketScheduler,
     /// RNGs of this shard's nodes, re-derived in place per run.
     rngs: Vec<SmallRng>,
-    /// Monotone busy-round counter. Each worker keeps its own, but all
-    /// advance in lockstep (one increment per globally agreed round), so
-    /// stamps written by the sender shard compare correctly against the
-    /// receiver shard's tick.
-    tick: u64,
+    /// Busy-round counter, one increment per globally agreed round. Only
+    /// this shard's own `claims` and `out_stamp` are compared against it
+    /// (cross-shard payloads are claimed by the receiving shard, with its
+    /// tick), so shards' ticks need not agree. On 32-bit wrap-around both
+    /// arrays are zeroed together and the tick restarts at 1.
+    tick: u32,
     /// Bit `v - node_base` set iff local node `v` has halted.
     halted: NodeBits,
     /// Bit `v - node_base` set iff `v` is awake in this shard's pending
@@ -64,14 +69,16 @@ pub(crate) struct ShardScratch<M> {
     /// agreed.
     active: Vec<NodeId>,
     wakes: Vec<Round>,
-    /// Delivery slots of this shard's slot range; receivers borrow
-    /// payloads in place through [`Inbox`] (no per-node inbox buffer).
-    slots: Vec<EdgeSlot<M>>,
-    /// Sender-side duplicate-destination stamps (same index space),
+    /// Claim words of this shard's slot range (the edges of its nodes,
+    /// each recording what that neighbor sent the node); receivers
+    /// borrow payloads in place from the round's arena through [`Inbox`]
+    /// (no per-node inbox buffer).
+    claims: Vec<u64>,
+    /// Sender-side duplicate-destination ticks (same index space),
     /// consulted only for *cross-shard* sends — local sends reuse the
-    /// receiver slot's claim stamp like the sequential engine, so this
-    /// array stays out of the send half's working set for local traffic.
-    out_stamp: Vec<u64>,
+    /// receiver's claim word like the sequential engine, so this array
+    /// stays out of the send half's working set for local traffic.
+    out_stamp: Vec<u32>,
     /// Receiver-side sequence expectations, one per in-pair: how many
     /// busy rounds that pair's src shard has participated in so far.
     in_seq: Vec<u64>,
@@ -90,7 +97,7 @@ impl<M: Message> ShardScratch<M> {
             awake: NodeBits::new(),
             active: Vec::new(),
             wakes: Vec::new(),
-            slots: Vec::new(),
+            claims: Vec::new(),
             out_stamp: Vec::new(),
             in_seq: Vec::new(),
             out: Vec::new(),
@@ -98,20 +105,18 @@ impl<M: Message> ShardScratch<M> {
     }
 
     /// Resizes for this shard of the plan and resets per-run state; the
-    /// tick (and thus all stamp arrays) carries over, as in the
+    /// tick (and thus both stamp arrays) carries over, as in the
     /// sequential scratch.
     fn fit_to(&mut self, plan: &ShardPlan, shard: usize) {
         let local_n = plan.nodes(shard).len();
         let local_slots = plan.slots(shard).len();
         self.halted.fit(local_n);
         self.awake.fit(local_n);
-        self.slots.resize_with(local_slots, EdgeSlot::vacant);
-        for slot in &mut self.slots {
-            // Zero-copy delivery parks payloads in slots until the edge
-            // is next written; drop leftovers from the previous run.
-            slot.msg = None;
+        fit_claims(&mut self.claims, local_slots);
+        if self.out_stamp.len() < local_slots {
+            // Zeroed like the claims: only cut edges ever touch it.
+            self.out_stamp = vec![0; local_slots];
         }
-        self.out_stamp.resize(local_slots, 0);
         let out_pairs = plan.out_pairs(shard);
         self.out.truncate(out_pairs.len());
         self.out.resize_with(out_pairs.len(), Vec::new);
@@ -129,8 +134,15 @@ impl<M: Message> ShardScratch<M> {
         self.wakes.clear();
     }
 
+    /// Starts the tick at `tick`, so a test can run rounds across the
+    /// 32-bit wrap-around.
+    #[cfg(test)]
+    pub(crate) fn start_tick_at(&mut self, tick: u32) {
+        self.tick = tick;
+    }
+
     /// Buffer capacities for the allocation oracle. Fixed order: RNGs,
-    /// halted words, awake words, active list, wake list, edge slots,
+    /// halted words, awake words, active list, wake list, claim words,
     /// out stamps, in-pair sequence expectations, staging buffers —
     /// [`ShardScratch::FIXED_BUFFERS`] entries before the
     /// variable-length staging/scheduler tail. (The pre-zero-copy shard
@@ -143,7 +155,7 @@ impl<M: Message> ShardScratch<M> {
         out.extend([
             self.active.capacity(),
             self.wakes.capacity(),
-            self.slots.capacity(),
+            self.claims.capacity(),
             self.out_stamp.capacity(),
             self.in_seq.capacity(),
             self.out.capacity(),
@@ -222,11 +234,14 @@ pub(crate) fn run_shard<P: Protocol>(
         awake,
         active,
         wakes,
-        slots,
+        claims,
         out_stamp,
         in_seq,
         out,
     } = scratch;
+    // This run's payloads, one round at a time (typed, so not scratch);
+    // local sends and the cross-shard apply both push here.
+    let mut arena: Vec<P::Msg> = Vec::new();
 
     let mut metrics = Metrics::new(local_n);
     let mut states: Vec<P::State> = Vec::with_capacity(local_n);
@@ -354,8 +369,10 @@ pub(crate) fn run_shard<P: Protocol>(
             });
             break;
         }
-        *tick += 1;
-        let stamp = *tick;
+        let stamp = next_tick(tick, || {
+            claims.fill(0);
+            out_stamp.fill(0);
+        });
 
         let participating = pending == Some(round);
         let total_active = sync.active_for(parity, round);
@@ -385,21 +402,24 @@ pub(crate) fn run_shard<P: Protocol>(
             for &v in active.iter() {
                 metrics.awake_rounds[(v - node_base) as usize] += 1;
             }
-            // Send half: local deliveries straight into our slots,
-            // cross-shard payloads staged into per-cut-pair buffers.
+            // Send half: local deliveries claim our edges and push to the
+            // arena, cross-shard payloads are staged per cut pair.
             for &v in active.iter() {
                 let li = (v - node_base) as usize;
-                let sink = Sink::Sharded(ShardSink {
-                    slots: &mut slots[..],
-                    out_stamp: &mut out_stamp[..],
+                let sink = Sink {
+                    claims: &mut claims[..],
+                    arena: &mut arena,
                     awake: &*awake,
                     node_base,
                     node_end,
                     slot_base,
-                    slot_starts: plan.slot_boundaries(),
-                    pair_local: plan.pair_local(shard),
-                    out: &mut out[..],
-                });
+                    cross: Some(CrossShard {
+                        out_stamp: &mut out_stamp[..],
+                        slot_starts: plan.slot_boundaries(),
+                        pair_local: plan.pair_local(shard),
+                        out: &mut out[..],
+                    }),
+                };
                 let mut api = SendApi::new(
                     v,
                     round,
@@ -447,11 +467,12 @@ pub(crate) fn run_shard<P: Protocol>(
         }
 
         // Apply: drain each participating sender's cell (ascending src
-        // order; write order is immaterial — slots are per directed
-        // edge, and sender-side stamps already rejected duplicates). A
-        // stored slot *is* the delivery to this shard's node, so
-        // delivered counts accrue here — batched once per apply step —
-        // and the receive half below does no accounting at all.
+        // order; write order is immaterial — claim words are per
+        // directed edge, and sender-side stamps already rejected
+        // duplicates). A stored payload *is* the delivery to this
+        // shard's node, so delivered counts accrue here — batched once
+        // per apply step — and the receive half below does no
+        // accounting at all.
         let mut applied: u64 = 0;
         let mut channel_dropped: u64 = 0;
         for (ii, &p) in in_pairs.iter().enumerate() {
@@ -480,9 +501,8 @@ pub(crate) fn run_shard<P: Protocol>(
                             // accrue.
                             channel_dropped += 1;
                         } else {
-                            let slot = &mut slots[rid - slot_base];
-                            slot.stamp = stamp;
-                            slot.msg = Some(msg);
+                            claims[rid - slot_base] = claim_word(stamp, arena.len() as u32);
+                            arena.push(msg);
                             applied += 1;
                         }
                     } // else: receiver asleep, payload dropped (as at
@@ -504,41 +524,29 @@ pub(crate) fn run_shard<P: Protocol>(
         if participating {
             // Radio-collision pass over our local receivers, mirroring
             // the sequential engine's pass between send and recv halves.
-            // All deliveries into a node's slots were counted in its own
-            // shard's metrics (local sends by the sender's tally here,
+            // All deliveries to a node were counted in its own shard's
+            // metrics (local sends by the sender's tally here,
             // cross-shard by `applied` above), so decrementing here
             // keeps the merged totals exact.
             if faults.is_collision() {
                 for &v in active.iter() {
                     let er = graph.edge_range(v);
                     let local = er.start - slot_base..er.end - slot_base;
-                    let hits = slots[local.clone()]
-                        .iter()
-                        .filter(|s| s.stamp == stamp && s.msg.is_some())
-                        .count() as u64;
-                    if hits >= 2 {
-                        for slot in &mut slots[local] {
-                            if slot.stamp == stamp {
-                                slot.msg = None;
-                            }
-                        }
-                        metrics.messages_delivered -= hits;
-                        metrics.messages_dropped += hits;
-                        metrics.collisions += 1;
-                    }
+                    wipe_collision(&mut claims[local], stamp, &mut metrics);
                 }
             }
 
             // Receive half: each awake local node reacts to a borrowed
-            // view of its slot range (ascending sender order by CSR
-            // construction); payloads are read in place, never copied
-            // out. Purely shard-local: no one else touches our slots
-            // now.
+            // view of its claim range (ascending sender order by CSR
+            // construction); payloads are read in place in the arena,
+            // never copied out. Purely shard-local: no one else touches
+            // our claims or arena now.
             for &v in active.iter() {
                 let li = (v - node_base) as usize;
                 let er = graph.edge_range(v);
                 let inbox = Inbox::new(
-                    &slots[er.start - slot_base..er.end - slot_base],
+                    &claims[er.start - slot_base..er.end - slot_base],
+                    &arena,
                     graph.neighbors(v),
                     stamp,
                 );
@@ -565,6 +573,7 @@ pub(crate) fn run_shard<P: Protocol>(
                 }
             }
         }
+        arena.clear();
 
         if record_trace {
             // Shard-local slice of this busy round; every shard appends

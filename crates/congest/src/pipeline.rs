@@ -1,10 +1,12 @@
 //! Multi-phase accounting.
 
-use crate::engine::{Protocol, SimConfig, SimResult};
+use crate::engine::{
+    run_with_scratch, run_with_scratch_observed, EngineScratch, Protocol, SimConfig, SimResult,
+};
 use crate::error::SimError;
 use crate::metrics::Metrics;
 use crate::observer::RoundObserver;
-use crate::par::{run_auto, run_auto_observed};
+use crate::par::{run_parallel, run_parallel_observed};
 use mis_graphs::Graph;
 
 /// Chains protocol phases on one graph, accumulating time and energy the
@@ -13,6 +15,11 @@ use mis_graphs::Graph;
 ///
 /// Each phase gets a distinct RNG salt automatically, so phases draw
 /// independent randomness from the same master seed.
+///
+/// On the sequential engine every phase runs on one [`EngineScratch`]
+/// that the pipeline owns, whatever the phases' message types, so a
+/// solve sizes the engine's per-edge claim array once rather than once
+/// per phase.
 ///
 /// # Example
 ///
@@ -49,6 +56,10 @@ pub struct Pipeline<'g, 'o> {
     /// Optional per-round event sink; phases announce themselves through
     /// [`RoundObserver::on_phase`] before their rounds stream.
     observer: Option<&'o mut dyn RoundObserver>,
+    /// Sequential-engine buffers shared by every phase; sized by the
+    /// first phase, never touched when `cfg.threads > 0` (the parallel
+    /// engine allocates its own per run).
+    scratch: EngineScratch,
 }
 
 impl std::fmt::Debug for Pipeline<'_, '_> {
@@ -74,6 +85,7 @@ impl<'g, 'o> Pipeline<'g, 'o> {
             phases: Vec::new(),
             engine: crate::telemetry::EngineStats::default(),
             observer: None,
+            scratch: EngineScratch::empty(),
         }
     }
 
@@ -90,8 +102,8 @@ impl<'g, 'o> Pipeline<'g, 'o> {
     /// final per-node states.
     ///
     /// Phases execute on the engine selected by [`SimConfig::threads`]
-    /// (sequential at 0, sharded parallel otherwise) with bit-identical
-    /// results either way.
+    /// (sequential at 0, on the pipeline's shared scratch; sharded
+    /// parallel otherwise) with bit-identical results either way.
     ///
     /// # Errors
     ///
@@ -111,18 +123,26 @@ impl<'g, 'o> Pipeline<'g, 'o> {
         } = match self.observer.as_deref_mut() {
             Some(obs) => {
                 obs.on_phase(name);
-                run_auto_observed(self.graph, protocol, &cfg, obs)?
+                if cfg.threads == 0 {
+                    run_with_scratch_observed(self.graph, protocol, &cfg, &mut self.scratch, obs)
+                } else {
+                    run_parallel_observed(self.graph, protocol, &cfg, cfg.threads, obs)
+                }
             }
-            None => run_auto(self.graph, protocol, &cfg)?,
-        };
+            None if cfg.threads == 0 => {
+                run_with_scratch(self.graph, protocol, &cfg, &mut self.scratch)
+            }
+            None => run_parallel(self.graph, protocol, &cfg, cfg.threads),
+        }?;
         self.total.absorb(&metrics);
         self.engine.absorb(&stats);
         self.phases.push((name.to_string(), metrics));
         Ok(states)
     }
 
-    /// The graph this pipeline runs on.
-    pub fn graph(&self) -> &Graph {
+    /// The graph this pipeline runs on. The borrow is the graph's own,
+    /// not the pipeline's, so a caller can hold it while running phases.
+    pub fn graph(&self) -> &'g Graph {
         self.graph
     }
 
@@ -213,6 +233,132 @@ mod tests {
         assert_eq!(log.phases[1].name, "p2");
         assert_eq!(log.phases[1].rounds.len(), 2);
         assert!(log.events().all(|e| e.awake == 4));
+    }
+
+    /// A chatty phase over any message type, six rounds per node:
+    /// staggered wakeups (so some sends reach sleepers), broadcasts on
+    /// even rounds, one rank send on odd rounds, and a state that folds
+    /// in every `(sender, payload)` heard plus an RNG draw per awake
+    /// round.
+    struct Chat<M> {
+        payload: fn(NodeId, u64) -> M,
+        digest: fn(&M) -> u64,
+    }
+
+    impl<M: crate::Message> Protocol for Chat<M> {
+        type State = u64;
+        type Msg = M;
+
+        fn init(&self, node: NodeId, api: &mut InitApi<'_>) -> u64 {
+            let offset = u64::from(node % 3);
+            api.wake_range(offset..6 + offset);
+            api.rng().gen::<u32>().into()
+        }
+
+        fn send(&self, state: &mut u64, api: &mut SendApi<'_, M>) {
+            let msg = (self.payload)(api.node(), api.round());
+            if api.round() % 2 == 0 {
+                api.broadcast(msg);
+            } else if api.degree() > 0 {
+                let rank = *state as usize % api.degree();
+                api.send_to_rank(rank, msg);
+            }
+        }
+
+        fn recv(&self, state: &mut u64, inbox: Inbox<'_, M>, api: &mut RecvApi<'_>) {
+            for (src, msg) in inbox {
+                *state = state
+                    .wrapping_mul(31)
+                    .wrapping_add(u64::from(src) ^ (self.digest)(msg));
+            }
+            *state ^= api.rng().gen::<u64>() >> 40;
+        }
+    }
+
+    fn words() -> Chat<u32> {
+        Chat {
+            payload: |v, r| v * 7 + r as u32,
+            digest: |&m| u64::from(m),
+        }
+    }
+
+    fn packed() -> Chat<crate::PackedBits> {
+        Chat {
+            payload: |v, r| {
+                let mut bits = crate::PackedBits::new(70);
+                bits.set((v as usize + r as usize) % 70, true);
+                bits
+            },
+            digest: |bits| bits.first_one().map_or(99, |i| i as u64),
+        }
+    }
+
+    fn flags() -> Chat<bool> {
+        Chat {
+            payload: |v, r| (u64::from(v) + r) % 2 == 0,
+            digest: |&b| u64::from(b),
+        }
+    }
+
+    /// Phases with different message types run on the pipeline's one
+    /// scratch, and each equals a standalone run with that phase's salt.
+    #[test]
+    fn phases_of_different_message_types_share_one_scratch() {
+        let g = generators::grid2d(9, 7);
+        let cfg = SimConfig::seeded(8);
+        let mut pipe = Pipeline::new(&g, cfg.clone());
+        let states = [
+            pipe.run_phase("u32", &words()).unwrap(),
+            pipe.run_phase("packed", &packed()).unwrap(),
+            pipe.run_phase("bool", &flags()).unwrap(),
+            pipe.run_phase("u32 again", &words()).unwrap(),
+        ];
+        let alone = [
+            crate::run(&g, &words(), &cfg.with_salt(0)).unwrap(),
+            crate::run(&g, &packed(), &cfg.with_salt(1)).unwrap(),
+            crate::run(&g, &flags(), &cfg.with_salt(2)).unwrap(),
+            crate::run(&g, &words(), &cfg.with_salt(3)).unwrap(),
+        ];
+        for (i, (got, want)) in states.iter().zip(&alone).enumerate() {
+            assert!(want.metrics.messages_delivered > 0, "phase {i} idle");
+            assert_eq!(got, &want.states, "phase {i} states");
+            assert_eq!(pipe.phases()[i].1, want.metrics, "phase {i} metrics");
+        }
+    }
+
+    /// One scratch serves a large graph, a smaller one, and the large one
+    /// again, each run equal to a fresh one; a warm scratch allocates
+    /// nothing when the next run uses another message type.
+    #[test]
+    fn one_scratch_serves_any_graph_and_message_type() {
+        let large = generators::grid2d(16, 12);
+        let small = generators::cycle(11);
+        let cfg = SimConfig::seeded(4);
+        let mut scratch = EngineScratch::new(&large);
+        let mut warm = None;
+        for g in [&large, &small, &large] {
+            let reused = run_with_scratch(g, &words(), &cfg, &mut scratch).unwrap();
+            let fresh = crate::run(g, &words(), &cfg).unwrap();
+            assert_eq!(reused.metrics, fresh.metrics);
+            assert_eq!(reused.states, fresh.states);
+            if g.n() == large.n() {
+                let sig = scratch.capacity_signature();
+                assert_eq!(*warm.get_or_insert_with(|| sig.clone()), sig);
+            }
+        }
+        let warm = warm.unwrap();
+        let bits = run_with_scratch(&large, &packed(), &cfg, &mut scratch).unwrap();
+        assert_eq!(warm, scratch.capacity_signature(), "PackedBits run");
+        let bools = run_with_scratch(&large, &flags(), &cfg, &mut scratch).unwrap();
+        assert_eq!(warm, scratch.capacity_signature(), "bool run");
+        assert_eq!(
+            bits.states,
+            crate::run(&large, &packed(), &cfg).unwrap().states
+        );
+        assert_eq!(
+            bools.states,
+            crate::run(&large, &flags(), &cfg).unwrap().states
+        );
     }
 
     #[test]

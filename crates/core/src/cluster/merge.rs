@@ -210,7 +210,7 @@ fn merge_iteration(
     cfg: &MergeConfig,
 ) -> Result<bool, SimError> {
     let n = forest.n();
-    let g = pipe.graph().clone();
+    let g = pipe.graph();
     let active: Vec<bool> = forest.participating.clone();
 
     // ---- Step 1: exchange cluster ids (1 round, everyone awake). ----
@@ -729,7 +729,7 @@ fn merge_iteration(
             merge_substep(pipe, forest, &active, name, &merges)?;
         }
     }
-    debug_assert_eq!(forest.validate(&g), Ok(()));
+    debug_assert_eq!(forest.validate(g), Ok(()));
     Ok(false)
 }
 

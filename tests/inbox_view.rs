@@ -161,13 +161,13 @@ proptest! {
 }
 
 /// The scratch no longer carries a per-node inbox buffer — delivery
-/// borrows from the edge slots in place. `FIXED_BUFFERS` pins the buffer
-/// count (the slice-era scratch had one more), and the capacity
-/// signature proves reuse still allocates nothing in steady state even
-/// for this broadcast-heavy recorder.
+/// borrows from the round's payload arena in place. `FIXED_BUFFERS`
+/// pins the buffer count (the slice-era scratch had one more), and the
+/// capacity signature proves reuse still allocates nothing in steady
+/// state even for this broadcast-heavy recorder.
 #[test]
 fn scratch_has_no_inbox_buffer_and_reuse_is_allocation_free() {
-    assert_eq!(EngineScratch::<u64>::FIXED_BUFFERS, 6);
+    assert_eq!(EngineScratch::FIXED_BUFFERS, 6);
     let mut rng = SmallRng::seed_from_u64(9);
     let g = generators::gnp(256, 12.0 / 256.0, &mut rng);
     let cfg = SimConfig::seeded(4);

@@ -2,8 +2,8 @@
 
 use crate::{Decision, MisRun};
 use congest_sim::{
-    run_auto, run_auto_observed, Inbox, InitApi, NodeId, Protocol, RecvApi, RoundObserver, SendApi,
-    SimConfig, SimError,
+    run, run_with, EngineScratch, Inbox, InitApi, NodeId, Protocol, RecvApi, RoundObserver,
+    SendApi, SimConfig, SimError,
 };
 use mis_graphs::Graph;
 use rand::Rng;
@@ -182,7 +182,7 @@ impl Protocol for LubyProtocol {
 /// Propagates [`SimError`] from the engine (notably the round cap if the
 /// protocol were to stall, which does not happen with high probability).
 pub fn luby(graph: &Graph, cfg: &SimConfig) -> Result<MisRun, SimError> {
-    let result = run_auto(graph, &LubyProtocol, cfg)?;
+    let result = run(graph, &LubyProtocol, cfg)?;
     Ok(MisRun::from_decisions(result, |s| s.decision))
 }
 
@@ -197,7 +197,8 @@ pub fn luby_observed(
     cfg: &SimConfig,
     observer: &mut dyn RoundObserver,
 ) -> Result<MisRun, SimError> {
-    let result = run_auto_observed(graph, &LubyProtocol, cfg, observer)?;
+    let mut scratch = EngineScratch::new(graph);
+    let result = run_with(graph, &LubyProtocol, cfg, &mut scratch, Some(observer))?;
     Ok(MisRun::from_decisions(result, |s| s.decision))
 }
 

@@ -2,8 +2,8 @@
 
 use crate::{Decision, MisRun};
 use congest_sim::{
-    run_auto, run_auto_observed, Inbox, InitApi, NodeId, Protocol, RecvApi, RoundObserver, SendApi,
-    SimConfig, SimError,
+    run, run_with, EngineScratch, Inbox, InitApi, NodeId, Protocol, RecvApi, RoundObserver,
+    SendApi, SimConfig, SimError,
 };
 use mis_graphs::Graph;
 use rand::Rng;
@@ -156,7 +156,7 @@ impl Protocol for PermutationProtocol {
 ///
 /// Propagates [`SimError`] from the engine.
 pub fn permutation(graph: &Graph, cfg: &SimConfig) -> Result<MisRun, SimError> {
-    let result = run_auto(graph, &PermutationProtocol, cfg)?;
+    let result = run(graph, &PermutationProtocol, cfg)?;
     Ok(MisRun::from_decisions(result, |s| s.decision))
 }
 
@@ -171,7 +171,14 @@ pub fn permutation_observed(
     cfg: &SimConfig,
     observer: &mut dyn RoundObserver,
 ) -> Result<MisRun, SimError> {
-    let result = run_auto_observed(graph, &PermutationProtocol, cfg, observer)?;
+    let mut scratch = EngineScratch::new(graph);
+    let result = run_with(
+        graph,
+        &PermutationProtocol,
+        cfg,
+        &mut scratch,
+        Some(observer),
+    )?;
     Ok(MisRun::from_decisions(result, |s| s.decision))
 }
 

@@ -5,8 +5,7 @@
 //! (`BENCH_engine.json`).
 
 use congest_sim::{
-    run, run_with_scratch, EngineScratch, Inbox, InitApi, NodeId, Protocol, RecvApi, SendApi,
-    SimConfig,
+    run, run_with, EngineScratch, Inbox, InitApi, NodeId, Protocol, RecvApi, SendApi, SimConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mis_bench::{workload_gnp, workload_regular};
@@ -53,11 +52,12 @@ fn bench_engine_throughput(c: &mut Criterion) {
         let mut scratch = EngineScratch::new(&gnp);
         group.bench_with_input(BenchmarkId::new("gnp-32r-scratch", n), &n, |b, _| {
             b.iter(|| {
-                run_with_scratch(
+                run_with(
                     &gnp,
                     &Chatter { rounds: 32 },
                     &SimConfig::seeded(1),
                     &mut scratch,
+                    None,
                 )
                 .unwrap()
             })

@@ -14,7 +14,7 @@
 use crate::table::{f2, Table};
 use crate::{size_sweep, workload_gnp, workload_regular};
 use congest_sim::schedule::{set_size_bound, AwakeSchedule};
-use congest_sim::{run_auto, SimConfig};
+use congest_sim::{run, SimConfig};
 use energy_mis::alg1::phase1::Phase1Protocol;
 use energy_mis::alg2::phase1::Alg2Phase1Iteration;
 use energy_mis::params::{log2n, Alg1Params, Alg2Params};
@@ -243,7 +243,7 @@ pub fn degree_trajectory(quick: bool) -> Vec<(u32, usize, f64)> {
     let rounds = params.phase1_rounds_per_iter(n);
     let participating = vec![true; n];
     let proto = Phase1Protocol::new(&participating, iters, rounds, d, params.mark_base);
-    let states = run_auto(&g, &proto, &cfg(9).sim).expect("phase1").states;
+    let states = run(&g, &proto, &cfg(9).sim).expect("phase1").states;
 
     // Offline reconstruction: a node is inactive from the round its
     // neighborhood (or itself) joined; spoiled from its sample round.
@@ -300,7 +300,7 @@ pub fn alg2_shrink(quick: bool) -> f64 {
     let participating = vec![true; n];
     let rounds = (3.0 * log2n(n)).ceil() as u32;
     let proto = Alg2Phase1Iteration::new(&participating, rounds, d as f64, 0.5, 0.6);
-    let states = run_auto(&g, &proto, &cfg(2).sim).expect("iteration").states;
+    let states = run(&g, &proto, &cfg(2).sim).expect("iteration").states;
     let mut active = vec![true; n];
     for v in g.nodes() {
         if states[v as usize].joined {

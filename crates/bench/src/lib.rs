@@ -25,9 +25,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static THREADS: AtomicUsize = AtomicUsize::new(1);
 
 /// Sets the parallel worker count for the whole experiment suite (the
-/// `--threads N` flag of the `experiments` binary): `0` selects the
-/// sequential engine, `N >= 1` the sharded parallel engine with `N`
-/// workers (matching `SimConfig::threads` and the examples). Every value
+/// `--threads N` flag of the `experiments` binary): `0` and `1` run one
+/// shard on the calling thread (the sequential engine), `N >= 2` runs
+/// `N` worker shards (matching `SimConfig::threads` and the examples). Every value
 /// produces bit-identical tables (the engine's determinism contract), so
 /// this is purely a wall-clock knob.
 pub fn set_threads(n: usize) {

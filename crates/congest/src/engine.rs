@@ -1,4 +1,16 @@
-//! The round-by-round simulation engine.
+//! The round-by-round simulation engine: the protocol API and the two
+//! entry points, [`run`] and [`run_with`].
+//!
+//! # One loop at every thread count
+//!
+//! A run splits the graph into `k = max(threads, 1)` contiguous shards
+//! (see [`SimConfig::threads`]) and executes one round loop per shard.
+//! At `k = 1` the one shard is the whole graph and the loop runs on the
+//! calling thread with nothing else around it: that is the sequential
+//! engine. At `k ≥ 2` each shard runs the same loop on its own worker,
+//! and the shards meet once per round at a rendezvous and trade
+//! cross-shard payloads through per-pair cells. Both produce
+//! bit-identical results, so the thread count is a pure performance knob.
 //!
 //! # Hot-loop architecture
 //!
@@ -41,18 +53,19 @@
 //! [`Metrics`] once per send half, not once per message.
 //!
 //! All reusable buffers live in an [`EngineScratch`], allocated once per
-//! run, or once across many runs via [`run_with_scratch`] (which is how
-//! a [`crate::Pipeline`] shares one scratch across its phases). The
-//! arena is per run and reused round over round.
+//! run, or once across many runs via [`run_with`] (which is how a
+//! [`crate::Pipeline`] shares one scratch across its phases). The arena
+//! is per run and reused round over round.
 
 use crate::bits::NodeBits;
 use crate::channel::{ChannelModel, FaultPlan};
 use crate::error::SimError;
 use crate::message::Message;
 use crate::metrics::Metrics;
-use crate::observer::{RoundEvent, RoundObserver};
-use crate::rng;
-use crate::sched::BucketScheduler;
+use crate::observer::RoundObserver;
+use crate::par::partition::ShardPlan;
+use crate::par::shard::{run_shard, Events, ShardScratch};
+use crate::telemetry::EngineStats;
 use crate::{NodeId, Round};
 use mis_graphs::{EdgeId, Graph};
 use rand::rngs::SmallRng;
@@ -313,9 +326,11 @@ pub struct SimConfig {
     pub bandwidth_bits: Option<usize>,
     /// Whether a bandwidth violation aborts the run.
     pub strict_bandwidth: bool,
-    /// Worker shards for the parallel engine ([`crate::run_parallel`]);
-    /// `0` (the default) runs the sequential engine on the caller thread.
-    /// Both engines produce bit-identical results — see [`crate::par`].
+    /// Shards to split each run into, one worker thread each: `0` (the
+    /// default) and `1` run one shard on the calling thread — the
+    /// sequential engine — and `k ≥ 2` runs `k` shards in parallel.
+    /// Results are bit-identical for every value; only
+    /// [`SimResult::stats`] names the configuration.
     pub threads: usize,
     /// The channel model faults are drawn from ([`ChannelModel::Ideal`]
     /// by default — the clean network, zero-cost). Fault decisions are
@@ -356,8 +371,8 @@ impl SimConfig {
         }
     }
 
-    /// Returns a copy with the given parallel worker count (`0` =
-    /// sequential). Results are bit-identical for every value.
+    /// Returns a copy with the given worker count ([`SimConfig::threads`]).
+    /// Results are bit-identical for every value.
     #[must_use]
     pub fn with_threads(&self, threads: usize) -> SimConfig {
         SimConfig {
@@ -375,7 +390,7 @@ impl SimConfig {
         }
     }
 
-    /// Checks the configuration before a run: both engines call this at
+    /// Checks the configuration before a run: [`run_with`] calls this at
     /// entry, so an invalid config is rejected with a descriptive error
     /// instead of producing a degenerate simulation.
     ///
@@ -396,8 +411,8 @@ impl SimConfig {
 
     /// Parses the conventional `--threads N` / `--threads=N` flag from
     /// this process's arguments (the value for [`SimConfig::threads`]):
-    /// `0` selects the sequential engine, `N >= 1` the sharded parallel
-    /// engine with `N` workers; `default` when the flag is absent. One
+    /// `0` or `1` runs one shard on the calling thread, `N >= 2` runs `N`
+    /// worker shards; `default` when the flag is absent. One
     /// shared parser so every example and binary exposes identical
     /// semantics.
     ///
@@ -541,12 +556,11 @@ impl<'a> InitApi<'a> {
 /// Where a send's payload lands: the delivery backend behind a
 /// [`SendApi`].
 ///
-/// Both engines deliver the same way, into claim words over a contiguous
-/// range of receiver-side edge ids plus the round's payload arena. The
-/// sequential engine owns every word; a parallel shard owns only the
+/// Every shard delivers the same way, into claim words over a contiguous
+/// range of receiver-side edge ids plus the round's payload arena. A
+/// lone shard owns every word; a shard of a `k ≥ 2` run owns only the
 /// words of its own nodes and routes payloads for other shards' nodes
-/// through [`CrossShard`]. One struct behind the same [`Protocol`]
-/// trait lets the same protocol code drive either engine.
+/// through [`CrossShard`].
 #[derive(Debug)]
 pub(crate) struct Sink<'a, M> {
     /// Claim words of the edges this sink owns, indexed by the
@@ -566,13 +580,13 @@ pub(crate) struct Sink<'a, M> {
     pub(crate) node_end: NodeId,
     /// First edge id this sink owns.
     pub(crate) slot_base: EdgeId,
-    /// Routing for receivers outside `node_base..node_end`; `None` on the
-    /// sequential engine, where every receiver is local.
+    /// Routing for receivers outside `node_base..node_end`; `None` for a
+    /// lone shard, where every receiver is local.
     pub(crate) cross: Option<CrossShard<'a, M>>,
 }
 
-/// How a parallel shard routes payloads to other shards' nodes; see
-/// [`Sink::cross`].
+/// How a shard of a `k ≥ 2` run routes payloads to other shards' nodes;
+/// see [`Sink::cross`].
 #[derive(Debug)]
 pub(crate) struct CrossShard<'a, M> {
     /// Duplicate-destination stamps over this shard's *outgoing* edges
@@ -664,8 +678,8 @@ pub struct SendApi<'a, M: Message> {
 
 impl<'a, M: Message> SendApi<'a, M> {
     /// Assembles a send API over the given delivery sink (engine
-    /// internal; both the sequential loop and the parallel shard workers
-    /// construct one per awake node per round).
+    /// internal; the round loop constructs one per awake node per
+    /// round).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         node: NodeId,
@@ -800,9 +814,8 @@ impl<'a, M: Message> SendApi<'a, M> {
     }
 
     /// Sends `msg` to every neighbor. The payload is stored once: every
-    /// receiver on this engine (or, on the parallel engine, this shard)
-    /// reads the same copy, and only payloads staged for another shard
-    /// are cloned.
+    /// receiver on this shard reads the same copy, and only payloads
+    /// staged for another shard are cloned.
     ///
     /// Every copy has the same size, so the CONGEST bit accounting and
     /// bandwidth check are hoisted out of the per-neighbor loop; each
@@ -864,7 +877,7 @@ impl<'a, M: Message> SendApi<'a, M> {
     /// duplicate-destination violation.
     ///
     /// A local receiver's claim word is both the delivery and the
-    /// duplicate check: one touch does both, in either engine. A receiver
+    /// duplicate check: one touch does both, at any shard count. A receiver
     /// on another shard has its claim word there, so the shard checks its
     /// sender-side `out_stamp` instead — the *outgoing* edge always
     /// belongs to the sender, so the check stays lock-free and
@@ -894,8 +907,8 @@ impl<'a, M: Message> SendApi<'a, M> {
         Some(if !awake {
             Place::Lost
         } else if self.faults.drops(self.round, rid) {
-            // Keyed on the *global* receiver-side id, so every engine and
-            // shard layout draws the same decision.
+            // Keyed on the *global* receiver-side id, so every shard
+            // layout draws the same decision.
             Place::Dropped
         } else {
             Place::Slot(i)
@@ -1065,88 +1078,91 @@ impl<'a> RecvApi<'a> {
     }
 }
 
-/// Reusable buffers of the sequential engine, sized for one graph.
+/// Reusable buffers of the engine, for any graph and any
+/// [`SimConfig::threads`].
 ///
-/// The steady-state round loop allocates nothing: wake buckets, the awake
-/// list, per-node flag words, and per-edge claim words all live here and
-/// are recycled round over round, and run over run with
-/// [`run_with_scratch`]. There is **no inbox buffer**: receivers borrow
-/// payloads in place from the round's arena through the [`Inbox`] view.
+/// The steady-state round loop allocates nothing: per shard, the wake
+/// buckets, RNGs, halted and awake bits, active and wake lists, and
+/// per-edge claim words all live here and are recycled round over round,
+/// and run over run with [`run_with`]. There is **no inbox buffer**:
+/// receivers borrow payloads in place from the round's arena through the
+/// [`Inbox`] view.
 ///
 /// The scratch has no message type. Claim words hold a round tick and an
 /// arena index, never a payload, so runs whose protocols use different
-/// [`Protocol::Msg`] types share one scratch. A [`crate::Pipeline`] owns
-/// one and passes it to every sequential phase, so a solve sizes the
-/// claim array once. Ticks only grow, so reuse never clears the O(m)
-/// claim array; on 32-bit wrap-around it is zeroed once and the tick
+/// [`Protocol::Msg`] types share one scratch; a run's payload arena and,
+/// at `k ≥ 2` shards, its cross-shard staging buffers and exchange cells
+/// are typed, so they belong to the run. A [`crate::Pipeline`] owns one
+/// scratch and passes it to every phase, so a solve sizes the claim
+/// arrays once. Ticks only grow, so reuse never clears the O(m) claim
+/// arrays; on 32-bit wrap-around they are zeroed once and the tick
 /// restarts.
+///
+/// The scratch also holds the run's shard plan. A plan is valid for one
+/// graph only, and a caller may pass one scratch for several graphs, so
+/// every `k ≥ 2` run rebuilds it (an `O(m)` sweep; a one-shard plan costs
+/// `O(log n)`). A pipeline's scratch serves its one graph only and keeps
+/// the plan across phases.
 #[derive(Debug)]
 pub struct EngineScratch {
-    sched: BucketScheduler,
-    /// Per-node RNGs, re-derived in place from `(seed, salt, node)` at
-    /// the start of every run.
-    rngs: Vec<SmallRng>,
-    /// Busy-round counter, carried across runs, so stale claim words
-    /// from earlier rounds (or earlier runs) can never match. 32 bits, to
-    /// fit a claim word's high half; see [`next_tick`] for wrap-around.
-    tick: u32,
-    /// Bit `v` set iff node `v` has halted (packed, 64 nodes per word).
-    halted: NodeBits,
-    /// Bit `v` set iff `v` is awake in the current round (also the
-    /// duplicate-wakeup filter when draining a bucket). Set while
-    /// draining, cleared per active node at the end of the round.
-    awake: NodeBits,
-    /// Awake, non-halted nodes of the current round.
-    active: Vec<NodeId>,
-    /// Wakeups requested by the node currently in `init`/`recv`.
-    wakes: Vec<Round>,
-    /// One claim word per directed edge, indexed by receiver-side
-    /// [`mis_graphs::EdgeId`]; a word carrying the current tick marks an
-    /// edge sent on this round (see [`claim_word`]).
-    claims: Vec<u64>,
+    plan: ShardPlan,
+    /// The shard count `plan` was last built for (`0`: never built).
+    plan_k: usize,
+    /// Whether every run of this scratch is on the same graph, so a plan
+    /// for the current shard count stays valid: a pipeline's own scratch.
+    one_graph: bool,
+    /// One scratch per shard of the last run.
+    shards: Vec<ShardScratch>,
 }
 
 impl EngineScratch {
-    /// Scratch sized for `graph`.
+    /// One-shard scratch sized for `graph`; a run at another
+    /// [`SimConfig::threads`] or on another graph refits it.
     pub fn new(graph: &Graph) -> EngineScratch {
         let mut s = EngineScratch::empty();
-        s.fit_to(graph);
+        s.fit_to(graph, 1);
+        s.shards[0].fit_to(&s.plan, 0);
         s
     }
 
-    /// Unsized scratch; [`run`] and [`crate::Pipeline`] start here and
-    /// let the first run's `fit_to` do the single sizing pass.
-    pub(crate) fn empty() -> EngineScratch {
+    /// Unsized scratch; the first run does the single sizing pass.
+    fn empty() -> EngineScratch {
         EngineScratch {
-            sched: BucketScheduler::new(),
-            rngs: Vec::new(),
-            tick: 0,
-            halted: NodeBits::new(),
-            awake: NodeBits::new(),
-            active: Vec::new(),
-            wakes: Vec::new(),
-            claims: Vec::new(),
+            plan: ShardPlan::new(),
+            plan_k: 0,
+            one_graph: false,
+            shards: Vec::new(),
         }
     }
 
-    /// Resizes for `graph` and resets per-run state (halts, queue). The
-    /// tick — and therefore every claim word — carries over untouched:
-    /// no payload outlives its round, so there is nothing to wipe.
-    fn fit_to(&mut self, graph: &Graph) {
-        let n = graph.n();
-        self.halted.fit(n);
-        self.awake.fit(n);
-        fit_claims(&mut self.claims, graph.directed_m());
-        self.sched.clear();
-        self.active.clear();
-        self.wakes.clear();
+    /// Unsized scratch that every run will use on one graph, so it keeps
+    /// its shard plan across runs (what a [`crate::Pipeline`] owns).
+    pub(crate) fn for_one_graph() -> EngineScratch {
+        EngineScratch {
+            one_graph: true,
+            ..EngineScratch::empty()
+        }
     }
 
-    /// Starts the tick at `tick`, so a test can run rounds across the
-    /// 32-bit wrap-around.
+    /// Plans `graph` for `k` shards (unless the plan in hand is known to
+    /// fit) and keeps exactly `k` shard scratches; each shard resets its
+    /// own per-run state when its loop starts.
+    fn fit_to(&mut self, graph: &Graph, k: usize) {
+        if !self.one_graph || self.plan_k != k {
+            self.plan.rebuild(graph, k);
+            self.plan_k = k;
+        }
+        self.shards.truncate(k);
+        self.shards.resize_with(k, ShardScratch::new);
+    }
+
+    /// Starts every shard's tick at `tick`, so a test can run rounds
+    /// across the 32-bit wrap-around.
     #[cfg(test)]
     pub(crate) fn start_tick_at(&mut self, tick: u32) {
-        self.tick = tick;
+        for shard in &mut self.shards {
+            shard.start_tick_at(tick);
+        }
     }
 
     /// Capacities of every growable buffer, in a fixed order. Two runs of
@@ -1157,314 +1173,113 @@ impl EngineScratch {
     /// workspace forbids `unsafe`, so a counting `GlobalAlloc` is not an
     /// option).
     ///
-    /// The fixed order is: RNGs, halted words, awake words, active list,
-    /// wake list, claim words, then the scheduler's buffers — one entry
-    /// per growable buffer, [`EngineScratch::FIXED_BUFFERS`] before the
-    /// scheduler. (The pre-zero-copy engine had one more: a per-node
-    /// inbox buffer, retired when [`Inbox`] made delivery borrow in
-    /// place.) The per-run payload arena is not scratch: it is typed, so
-    /// it lives in the run.
+    /// The fixed order is, per shard: RNGs, halted words, awake words,
+    /// active list, wake list, claim words, out stamps
+    /// ([`EngineScratch::FIXED_BUFFERS`] entries), then the shard's
+    /// scheduler buffers; after the last shard, the shard list and the
+    /// plan's buffers. (The pre-zero-copy engine had one more per shard:
+    /// a per-node inbox buffer, retired when [`Inbox`] made delivery
+    /// borrow in place.)
     pub fn capacity_signature(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(8);
-        out.push(self.rngs.capacity());
-        self.halted.capacity_signature(&mut out);
-        self.awake.capacity_signature(&mut out);
-        out.push(self.active.capacity());
-        out.push(self.wakes.capacity());
-        out.push(self.claims.capacity());
-        self.sched.capacity_signature(&mut out);
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            shard.capacity_signature(&mut out);
+        }
+        out.push(self.shards.capacity());
+        self.plan.capacity_signature(&mut out);
         out
     }
 
-    /// Number of scratch buffers outside the scheduler (the leading
-    /// entries of [`EngineScratch::capacity_signature`]); pinned by tests
-    /// so a retired buffer cannot silently come back.
-    pub const FIXED_BUFFERS: usize = 6;
+    /// Number of scratch buffers per shard outside its scheduler (the
+    /// leading entries of each shard's part of
+    /// [`EngineScratch::capacity_signature`]); pinned by tests so a
+    /// retired buffer cannot silently come back.
+    pub const FIXED_BUFFERS: usize = ShardScratch::FIXED_BUFFERS;
 }
 
 /// Runs `protocol` on `graph` under `cfg` until no node has a pending
-/// wakeup.
+/// wakeup, on [`SimConfig::threads`] shards.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if the protocol exceeds `cfg.max_rounds`, addresses
 /// a non-neighbor, sends twice to the same neighbor in one round, or (in
-/// strict mode) exceeds the bandwidth.
-pub fn run<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-) -> Result<SimResult<P::State>, SimError> {
-    let mut scratch = EngineScratch::empty();
-    run_inner(graph, protocol, cfg, &mut scratch, None)
+/// strict mode) exceeds the bandwidth. When shards fail in the same
+/// round, the lowest-numbered shard's error is returned.
+///
+/// # Panics
+///
+/// Re-raises a panic unwinding out of a protocol callback (at `k ≥ 2`
+/// shards, after all workers shut down cleanly).
+pub fn run<P>(graph: &Graph, protocol: &P, cfg: &SimConfig) -> Result<SimResult<P::State>, SimError>
+where
+    P: Protocol + Sync,
+    P::State: Send,
+    P::Msg: Send,
+{
+    run_with(graph, protocol, cfg, &mut EngineScratch::empty(), None)
 }
 
-/// [`run`], streaming one [`RoundEvent`] per busy round into `observer`
-/// (the sequential arm of the engine's observation hook; see
-/// [`crate::observer`] for the cross-engine determinism contract).
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_observed<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    observer: &mut dyn RoundObserver,
-) -> Result<SimResult<P::State>, SimError> {
-    let mut scratch = EngineScratch::empty();
-    run_inner(graph, protocol, cfg, &mut scratch, Some(observer))
-}
-
-/// [`run`], reusing caller-owned scratch buffers across runs.
+/// [`run`] on caller-owned scratch buffers, optionally streaming one
+/// [`crate::RoundEvent`] per busy round into `observer`.
 ///
 /// Repeated executions (parameter sweeps, benchmark loops, the phases of
-/// a [`crate::Pipeline`], whatever their message types) skip all per-run
-/// buffer allocation except the result and the round payload arena. A
+/// a [`crate::Pipeline`], whatever their message types or thread counts)
+/// skip all per-run buffer allocation except the result, the round
+/// payload arena and, at `k ≥ 2` shards, the cross-shard exchange. A
 /// scratch sized for a larger graph serves a smaller one as it is.
 ///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_with_scratch<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    scratch: &mut EngineScratch,
-) -> Result<SimResult<P::State>, SimError> {
-    run_inner(graph, protocol, cfg, scratch, None)
-}
-
-/// [`run_with_scratch`] with a round observer attached (see
-/// [`run_observed`]).
+/// The event stream is identical for every thread count (see
+/// [`crate::observer`]). A one-shard run streams each event as its round
+/// ends; a `k ≥ 2` run replays the merged stream when it completes, and
+/// replays nothing on an error.
 ///
 /// # Errors
 ///
 /// Same contract as [`run`].
-pub fn run_with_scratch_observed<P: Protocol>(
+///
+/// # Panics
+///
+/// Same contract as [`run`]; the scratch stays reusable after a caught
+/// panic.
+pub fn run_with<P>(
     graph: &Graph,
     protocol: &P,
     cfg: &SimConfig,
     scratch: &mut EngineScratch,
-    observer: &mut dyn RoundObserver,
-) -> Result<SimResult<P::State>, SimError> {
-    run_inner(graph, protocol, cfg, scratch, Some(observer))
-}
-
-/// The one sequential round loop behind every `run*` entry point; the
-/// observer is `None` on the unobserved paths, which keeps observation
-/// strictly pay-for-what-you-use (one branch per busy round).
-fn run_inner<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    scratch: &mut EngineScratch,
-    mut observer: Option<&mut dyn RoundObserver>,
-) -> Result<SimResult<P::State>, SimError> {
+    observer: Option<&mut dyn RoundObserver>,
+) -> Result<SimResult<P::State>, SimError>
+where
+    P: Protocol + Sync,
+    P::State: Send,
+    P::Msg: Send,
+{
     cfg.validate()?;
-    let faults = FaultPlan::new(cfg);
-    let n = graph.n();
-    scratch.fit_to(graph);
-    scratch.rngs.clear();
-    scratch
-        .rngs
-        .extend((0..n as u32).map(|v| rng::derive(cfg.seed, cfg.salt, v)));
-    let mut metrics = Metrics::new(n);
-    let EngineScratch {
-        sched,
-        rngs,
-        tick,
-        halted,
-        awake,
-        active,
-        wakes,
-        claims,
-    } = scratch;
-    // This run's payloads, one round at a time: typed, so it lives here
-    // rather than in the scratch; cleared after every busy round, so its
-    // capacity is reused round over round.
-    let mut arena: Vec<P::Msg> = Vec::new();
-
-    // Initialization: free local pre-computation, may request wakeups.
-    let mut states: Vec<P::State> = Vec::with_capacity(n);
-    for v in 0..n as u32 {
-        wakes.clear();
-        let mut api = InitApi::new(v, graph, &mut rngs[v as usize], wakes);
-        states.push(protocol.init(v, &mut api));
-        for &r in wakes.iter() {
-            sched.schedule(r, v);
-        }
+    let k = cfg.threads.max(1);
+    scratch.fit_to(graph, k);
+    let EngineScratch { plan, shards, .. } = scratch;
+    if k > 1 {
+        return crate::par::engine::run_sharded(graph, protocol, cfg, plan, shards, observer);
     }
-
-    let mut last_round: Option<Round> = None;
-
-    while let Some(round) = sched.pop_round() {
-        if round >= cfg.max_rounds {
-            return Err(SimError::ExceededMaxRounds {
-                max_rounds: cfg.max_rounds,
-            });
-        }
-        let stamp = next_tick(tick, || claims.fill(0));
-
-        // Drain the wake bucket: the awake bit dedups repeated wakeups
-        // and the halted bit drops dead nodes; no sort needed (processing
-        // order within a round is unobservable — per-node RNGs,
-        // slot-indexed delivery). Both flags are single bits in packed
-        // u64 words, so this scan touches n/64th the memory of a
-        // stamp-per-node filter.
-        let bucket = sched.take_bucket(round);
-        active.clear();
-        for &v in &bucket {
-            let vi = v as usize;
-            if halted.get(vi) || awake.get(vi) {
-                metrics.probes.wakeups_deduped += 1;
-                continue;
-            }
-            // Adversarial channel: a crash kills the node at its next
-            // wakeup on or after the crash round; a forced-sleep window
-            // consumes the wakeup (the node misses the round entirely,
-            // spending no energy). Pure in (node, round), so both
-            // engines agree bit for bit.
-            if faults.crashes(v, round) {
-                halted.set(vi);
-                metrics.probes.crash_halts += 1;
-                continue;
-            }
-            if faults.forces_asleep(v, round) {
-                metrics.probes.forced_sleeps += 1;
-                continue;
-            }
-            awake.set(vi);
-            active.push(v);
-        }
-        sched.restore_bucket(round, bucket);
-        if active.is_empty() {
-            continue;
-        }
-        last_round = Some(round);
-        metrics.busy_rounds += 1;
-        for &v in active.iter() {
-            metrics.awake_rounds[v as usize] += 1;
-        }
-        // Counter snapshot so the observer (if any) sees per-round deltas.
-        let (sent_before, delivered_before, dropped_before, collisions_before, bits_before) = (
-            metrics.messages_sent,
-            metrics.messages_delivered,
-            metrics.messages_dropped,
-            metrics.collisions,
-            metrics.bits_sent,
-        );
-
-        // Send half: each send claims its edge and pushes its payload to
-        // the arena; each node's CONGEST accounting is tallied locally
-        // and committed to the metrics in one batch per node, not one
-        // update per message.
-        let all_awake = active.len() == n;
-        let mut error: Option<SimError> = None;
-        for &v in active.iter() {
-            let sink = Sink {
-                claims: &mut claims[..],
-                arena: &mut arena,
-                awake: &*awake,
-                node_base: 0,
-                node_end: n as NodeId,
-                slot_base: 0,
-                cross: None,
-            };
-            let mut api = SendApi::new(
-                v,
-                round,
-                graph,
-                &mut rngs[v as usize],
-                stamp,
-                sink,
-                all_awake,
-                faults,
-                cfg,
-                &mut error,
-            );
-            protocol.send(&mut states[v as usize], &mut api);
-            metrics.commit_send(api.into_tally());
-            if let Some(e) = error.take() {
-                return Err(e);
-            }
-        }
-
-        // Radio-collision pass: between the send half (all claims
-        // written) and the receive half, each receiver that heard ≥ 2
-        // simultaneous transmissions loses them all. Receiver-side and
-        // computable from the in-edge claim range alone, so the sharded
-        // engine runs the identical pass on its local range.
-        if faults.is_collision() {
-            for &v in active.iter() {
-                wipe_collision(&mut claims[graph.edge_range(v)], stamp, &mut metrics);
-            }
-        }
-
-        // Receive half: each awake node reacts to a borrowed view of its
-        // claim range (ascending sender order by CSR construction) —
-        // payloads are read in place in the arena, never copied out.
-        for &v in active.iter() {
-            let inbox = Inbox::new(
-                &claims[graph.edge_range(v)],
-                &arena,
-                graph.neighbors(v),
-                stamp,
-            );
-            wakes.clear();
-            let mut halt = false;
-            let mut api = RecvApi::new(v, round, graph, &mut rngs[v as usize], wakes, &mut halt);
-            protocol.recv(&mut states[v as usize], inbox, &mut api);
-            if halt {
-                halted.set(v as usize);
-            } else {
-                for &r in wakes.iter() {
-                    sched.schedule(r, v);
-                }
-            }
-        }
-        arena.clear();
-
-        if let Some(obs) = observer.as_deref_mut() {
-            obs.on_round(&RoundEvent {
-                round,
-                awake: active.len() as u64,
-                messages_sent: metrics.messages_sent - sent_before,
-                messages_delivered: metrics.messages_delivered - delivered_before,
-                messages_dropped: metrics.messages_dropped - dropped_before,
-                collisions: metrics.collisions - collisions_before,
-                bits_sent: metrics.bits_sent - bits_before,
-            });
-        }
-
-        // Reset the awake bits for the next round, touching only the
-        // words of nodes that were actually active (sparse rounds stay
-        // O(active), dense rounds one bit per node).
-        for &v in active.iter() {
-            awake.clear(v as usize);
-        }
+    let events = match observer {
+        Some(observer) => Events::Live(observer),
+        None => Events::Off,
+    };
+    let solo = run_shard::<P, false>(graph, protocol, cfg, plan, &mut shards[0], None, events);
+    if let Some(e) = solo.error {
+        return Err(e);
     }
-
-    metrics.elapsed_rounds = last_round.map_or(0, |r| r + 1);
-    // Scheduler probes: insertion volume and spills are thread-invariant
-    // (every schedule() call happens against base == current round in
-    // both engines); the peak bucket depends on shard layout, so it
-    // lands in the per-configuration stats instead.
-    let sched_stats = sched.stats();
-    metrics.probes.wakeups_scheduled = sched_stats.scheduled;
-    metrics.probes.sched_spills = sched_stats.spilled;
-    let stats = crate::telemetry::EngineStats {
-        shards: 0,
-        cut_messages: 0,
-        mailbox_posts: 0,
-        exchange_skipped_pairs: 0,
-        local_only_rounds: 0,
-        cut_slots: 0,
-        peak_bucket: sched_stats.peak_bucket,
+    // `threads = 0` names the sequential engine and reports no shards; a
+    // one-worker run reports its one shard, every busy round local-only.
+    let worker = u64::from(cfg.threads > 0);
+    let stats = EngineStats {
+        shards: worker,
+        local_only_rounds: worker * solo.metrics.busy_rounds,
+        ..solo.stats
     };
     Ok(SimResult {
-        states,
-        metrics,
+        states: solo.states,
+        metrics: solo.metrics,
         stats,
     })
 }
@@ -1943,9 +1758,9 @@ mod tests {
         let baseline = run(&g, &Flood { rounds_cap: 30 }, &cfg).unwrap();
 
         let mut scratch = EngineScratch::new(&g);
-        let first = run_with_scratch(&g, &Flood { rounds_cap: 30 }, &cfg, &mut scratch).unwrap();
+        let first = run_with(&g, &Flood { rounds_cap: 30 }, &cfg, &mut scratch, None).unwrap();
         let warm = scratch.capacity_signature();
-        let second = run_with_scratch(&g, &Flood { rounds_cap: 30 }, &cfg, &mut scratch).unwrap();
+        let second = run_with(&g, &Flood { rounds_cap: 30 }, &cfg, &mut scratch, None).unwrap();
         assert_eq!(
             warm,
             scratch.capacity_signature(),
@@ -1960,17 +1775,25 @@ mod tests {
         }
     }
 
-    /// The signature layout is exactly the fixed buffers plus the
-    /// scheduler's entries — pinning that the slice-era per-node inbox
-    /// buffer is gone (it would show up as an extra leading entry).
+    /// A one-shard signature is exactly the shard's fixed buffers plus
+    /// its scheduler's entries, then the shard list and the plan —
+    /// pinning that the slice-era per-node inbox buffer is gone (it
+    /// would show up as an extra leading entry).
     #[test]
     fn capacity_signature_is_fixed_buffers_plus_scheduler() {
         let g = generators::grid2d(4, 4);
         let s = EngineScratch::new(&g);
+        let mut shard_sig = Vec::new();
+        s.shards[0].capacity_signature(&mut shard_sig);
+        let mut plan_sig = Vec::new();
+        s.plan.capacity_signature(&mut plan_sig);
+        let sig = s.capacity_signature();
+        assert_eq!(sig.len(), shard_sig.len() + 1 + plan_sig.len());
+        assert_eq!(sig[..shard_sig.len()], shard_sig[..]);
         let mut sched_sig = Vec::new();
-        s.sched.capacity_signature(&mut sched_sig);
+        crate::sched::BucketScheduler::new().capacity_signature(&mut sched_sig);
         assert_eq!(
-            s.capacity_signature().len(),
+            shard_sig.len(),
             EngineScratch::FIXED_BUFFERS + sched_sig.len()
         );
     }
@@ -1979,15 +1802,15 @@ mod tests {
     /// time, not stored in the round's arena.
     #[test]
     fn undelivered_payloads_are_dropped_at_send_time() {
-        use std::rc::Rc;
+        use std::sync::Arc;
         #[derive(Clone, Debug)]
-        struct Tracked(#[allow(dead_code, reason = "held only to track drops")] Rc<()>);
+        struct Tracked(#[allow(dead_code, reason = "held only to track drops")] Arc<()>);
         impl crate::Message for Tracked {
             fn bits(&self) -> usize {
                 1
             }
         }
-        struct SendToSleepers(Rc<()>);
+        struct SendToSleepers(Arc<()>);
         impl Protocol for SendToSleepers {
             type State = ();
             type Msg = Tracked;
@@ -2002,15 +1825,15 @@ mod tests {
             fn recv(&self, _state: &mut (), _inbox: Inbox<'_, Tracked>, _api: &mut RecvApi<'_>) {}
         }
         let g = generators::star(5);
-        let handle = Rc::new(());
+        let handle = Arc::new(());
         let proto = SendToSleepers(handle.clone());
         let mut scratch = EngineScratch::new(&g);
-        let res = run_with_scratch(&g, &proto, &SimConfig::default(), &mut scratch).unwrap();
+        let res = run_with(&g, &proto, &SimConfig::default(), &mut scratch, None).unwrap();
         assert_eq!(res.metrics.messages_sent, 4);
         assert_eq!(res.metrics.messages_delivered, 0);
         // Scratch is still alive, yet no broadcast copy survives: only the
         // local handle and the protocol's own copy remain.
-        assert_eq!(Rc::strong_count(&handle), 2);
+        assert_eq!(Arc::strong_count(&handle), 2);
     }
 
     /// The observed event stream partitions the aggregate metrics: the
@@ -2019,11 +1842,12 @@ mod tests {
     fn observer_streams_per_round_aggregates() {
         let g = generators::grid2d(5, 5);
         let mut log = crate::observer::RoundLog::new();
-        let res = run_observed(
+        let res = run_with(
             &g,
             &Flood { rounds_cap: 20 },
             &SimConfig::default(),
-            &mut log,
+            &mut EngineScratch::new(&g),
+            Some(&mut log),
         )
         .unwrap();
         assert_eq!(log.busy_rounds() as u64, res.metrics.busy_rounds);
@@ -2042,15 +1866,79 @@ mod tests {
         );
     }
 
-    /// Unobserved entry points and observed ones produce the same run.
+    /// Unobserved runs and observed ones produce the same run.
     #[test]
     fn observation_does_not_perturb_the_run() {
         let g = generators::grid2d(6, 6);
         let cfg = SimConfig::seeded(5);
         let plain = run(&g, &Flood { rounds_cap: 15 }, &cfg).unwrap();
         let mut log = crate::observer::RoundLog::new();
-        let observed = run_observed(&g, &Flood { rounds_cap: 15 }, &cfg, &mut log).unwrap();
-        assert_eq!(plain.metrics, observed.metrics);
+        let mut scratch = EngineScratch::new(&g);
+        let observed = run_with(
+            &g,
+            &Flood { rounds_cap: 15 },
+            &cfg,
+            &mut scratch,
+            Some(&mut log),
+        );
+        assert_eq!(plain.metrics, observed.unwrap().metrics);
+    }
+
+    /// A one-shard run streams each event as its round ends: when the
+    /// observer hears round `r`, the protocol has received exactly the
+    /// rounds up to `r` — never a later one, as a replay at the end of
+    /// the run would show.
+    #[test]
+    fn observers_stream_live_at_one_shard() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        /// Counts every `recv` call, one per awake node per round.
+        struct Counted(Arc<AtomicU64>);
+        impl Protocol for Counted {
+            type State = ();
+            type Msg = ();
+            fn init(&self, node: NodeId, api: &mut InitApi<'_>) {
+                api.wake_range(u64::from(node % 3)..6);
+            }
+            fn send(&self, _state: &mut (), api: &mut SendApi<'_, ()>) {
+                api.broadcast(());
+            }
+            fn recv(&self, _state: &mut (), _inbox: Inbox<'_, ()>, _api: &mut RecvApi<'_>) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        /// Checks the count against the awake totals heard so far.
+        struct Live {
+            receives: Arc<AtomicU64>,
+            awake_so_far: u64,
+            rounds: u64,
+        }
+        impl RoundObserver for Live {
+            fn on_round(&mut self, event: &crate::RoundEvent) {
+                self.awake_so_far += event.awake;
+                self.rounds += 1;
+                let seen = self.receives.load(Ordering::Relaxed);
+                assert_eq!(seen, self.awake_so_far, "round {}: not live", event.round);
+            }
+        }
+        let g = generators::grid2d(5, 4);
+        for threads in [0, 1] {
+            let receives = Arc::new(AtomicU64::new(0));
+            let mut live = Live {
+                receives: receives.clone(),
+                awake_so_far: 0,
+                rounds: 0,
+            };
+            let cfg = SimConfig::seeded(2).with_threads(threads);
+            let mut scratch = EngineScratch::new(&g);
+            let res = run_with(&g, &Counted(receives), &cfg, &mut scratch, Some(&mut live));
+            assert_eq!(
+                live.rounds,
+                res.unwrap().metrics.busy_rounds,
+                "threads {threads}"
+            );
+            assert_eq!(live.rounds, 6);
+        }
     }
 
     /// Always-awake broadcaster: every node wakes rounds `0..rounds`

@@ -21,9 +21,12 @@
 //!   protocol parameters, and the seed.
 //!
 //! Protocols implement the [`Protocol`] trait; [`run`] executes one
-//! protocol, and [`Pipeline`] chains protocol phases while accumulating
-//! time and energy exactly the way the paper's theorems add up phase
-//! budgets.
+//! protocol, [`run_with`] does so on reusable [`EngineScratch`] buffers
+//! with an optional [`RoundObserver`], and [`Pipeline`] chains protocol
+//! phases while accumulating time and energy exactly the way the
+//! paper's theorems add up phase budgets. [`SimConfig::threads`] splits
+//! each run across worker shards; every thread count runs the same round
+//! loop and gives bit-identical results.
 //!
 //! # Example: a one-round "hello" protocol
 //!
@@ -67,7 +70,7 @@ mod error;
 mod message;
 mod metrics;
 pub mod observer;
-pub mod par;
+mod par;
 mod pipeline;
 pub mod repair;
 pub mod rng;
@@ -77,17 +80,13 @@ pub mod telemetry;
 
 pub use channel::{AdversarySchedule, ChannelModel, SleepWindow};
 pub use engine::{
-    run, run_observed, run_with_scratch, run_with_scratch_observed, EngineScratch, Inbox,
-    InboxIter, InitApi, Protocol, RecvApi, SendApi, SimConfig, SimResult,
+    run, run_with, EngineScratch, Inbox, InboxIter, InitApi, Protocol, RecvApi, SendApi, SimConfig,
+    SimResult,
 };
 pub use error::SimError;
 pub use message::{Message, PackedBits};
 pub use metrics::{EnergySummary, Metrics};
 pub use observer::{PhaseTrace, RoundEvent, RoundLog, RoundObserver};
-pub use par::{
-    run_auto, run_auto_observed, run_parallel, run_parallel_observed, run_parallel_with_scratch,
-    ParScratch,
-};
 pub use pipeline::Pipeline;
 pub use repair::{plan_repair, RepairPlan};
 pub use telemetry::{

@@ -6,11 +6,11 @@
 //! awake-node count and message traffic. The stream is part of the
 //! engine's determinism contract: for a fixed `(graph, protocol, seed,
 //! salt)` the observed events are **identical across every thread
-//! count** — the sequential engine streams them live at the end of each
-//! round, while the sharded parallel engine records per-shard traces and
-//! replays the merged, order-identical stream when the run completes.
-//! (On an error or panic the parallel engine replays nothing; the
-//! sequential engine has already streamed the rounds that completed.)
+//! count** — a one-shard run (`threads` 0 or 1) streams them live at the
+//! end of each round, while a run of `k ≥ 2` shards records per-shard
+//! traces and replays the merged, order-identical stream when the run
+//! completes. (On an error or panic a `k ≥ 2` run replays nothing; a
+//! one-shard run has already streamed the rounds that completed.)
 //!
 //! [`RoundLog`] is the batteries-included observer: it collects the
 //! events (grouped by pipeline phase when attached through
@@ -45,8 +45,8 @@ pub struct RoundEvent {
 /// Receives the per-round event stream of a run.
 ///
 /// Implementations are driven from the thread that owns the run (the
-/// caller of [`crate::run`] / [`crate::run_parallel`]), never from a
-/// worker thread, so no `Sync` bound is required.
+/// caller of [`crate::run_with`]), never from a worker thread, so no
+/// `Sync` bound is required.
 pub trait RoundObserver {
     /// Called once per busy round, in round order.
     fn on_round(&mut self, event: &RoundEvent);

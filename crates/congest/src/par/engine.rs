@@ -1,169 +1,36 @@
-//! The parallel run entry points: scratch, spawn, merge.
+//! The `k ≥ 2` run: one worker per shard, then the merge.
 
 use super::exchange::{Exchange, RoundSync};
 use super::partition::ShardPlan;
-use super::shard::{run_shard, ShardOutcome, ShardScratch};
+use super::shard::{run_shard, Events, Link, ShardOutcome, ShardScratch};
 use crate::engine::{Protocol, SimConfig, SimResult};
 use crate::error::SimError;
-use crate::message::Message;
 use crate::metrics::Metrics;
 use crate::observer::RoundObserver;
 use mis_graphs::Graph;
 
-/// Reusable buffers of a parallel run, the sharded counterpart of
-/// [`crate::EngineScratch`]: one [`ShardScratch`] per worker plus the
-/// shared exchange mailboxes and round-sync state.
-///
-/// Repeated runs on the same graph and thread count perform zero
-/// steady-state allocation: every growable buffer is recycled, which the
-/// capacity-signature oracle pins down in tests exactly like the
-/// sequential scratch. (The spawned worker threads themselves are per
-/// run; thread reuse is the OS scheduler's job, not the engine's.)
-#[derive(Debug)]
-pub struct ParScratch<M> {
-    k: usize,
-    plan: ShardPlan,
-    shards: Vec<ShardScratch<M>>,
-    exchange: Exchange<M>,
-    sync: RoundSync,
-}
-
-impl<M: Message + Send> ParScratch<M> {
-    /// Scratch sized for `graph` split across `threads` workers.
-    pub fn new(graph: &Graph, threads: usize) -> ParScratch<M> {
-        let mut s = ParScratch::empty();
-        s.fit_to(graph, threads.max(1));
-        s
-    }
-
-    fn empty() -> ParScratch<M> {
-        ParScratch {
-            k: 0,
-            plan: ShardPlan::new(),
-            shards: Vec::new(),
-            exchange: Exchange::new(),
-            sync: RoundSync::new(),
-        }
-    }
-
-    /// Re-partitions for `graph`/`k` and resets per-run state. Always
-    /// recomputes the plan: partition boundaries follow the graph's CSR
-    /// offsets, and the refit reuses every buffer.
-    fn fit_to(&mut self, graph: &Graph, k: usize) {
-        self.k = k;
-        self.plan.rebuild(graph, k);
-        self.shards.truncate(k);
-        while self.shards.len() < k {
-            self.shards.push(ShardScratch::new());
-        }
-        // One exchange cell per cut pair — not k²: shard pairs without
-        // cut edges have no cell, no buffer, and no per-round cost.
-        let plan = &self.plan;
-        self.exchange
-            .fit((0..plan.pair_count()).map(|p| plan.pair_capacity(p)));
-        self.sync.fit(k);
-    }
-
-    /// Capacities of every growable buffer, in a fixed order; the
-    /// allocation oracle for the zero-steady-state-allocation test (see
-    /// [`crate::EngineScratch::capacity_signature`] for the reasoning).
-    pub fn capacity_signature(&mut self) -> Vec<usize> {
-        let mut out = vec![self.shards.capacity()];
-        self.plan.capacity_signature(&mut out);
-        for s in &self.shards {
-            s.capacity_signature(&mut out);
-        }
-        self.exchange.capacity_signature(&mut out);
-        out
-    }
-}
-
-/// Runs `protocol` on `graph` under `cfg` across `threads` worker shards,
-/// producing results *bit-identical* to the sequential [`crate::run`] for
-/// every thread count (see [`crate::par`] for why).
-///
-/// `threads` is clamped to at least 1; `threads = 1` still exercises the
-/// sharded machinery (on the calling thread, nothing spawned), which is
-/// what pins the `k = 1` case of the determinism contract in tests.
+/// Runs `protocol` across the `k ≥ 2` shards of `plan`, shard `s` on
+/// `shards[s]`: shard 0 on the calling thread, every other shard on a
+/// scoped worker. The round agreement and the typed exchange cells live
+/// for this run only. When an observer rides along, each shard records
+/// its slice of every busy round and the merged stream is replayed when
+/// the run completes.
 ///
 /// # Errors
 ///
-/// Same contract as [`crate::run`]. When shards fail in the same round,
+/// Same contract as [`crate::run`]: when shards fail in the same round,
 /// the lowest-numbered shard's error is returned.
 ///
 /// # Panics
 ///
-/// Re-raises a panic unwinding out of a protocol callback (after all
-/// workers shut down cleanly).
-pub fn run_parallel<P>(
+/// Re-raises a panic unwinding out of a protocol callback, after all
+/// workers shut down cleanly.
+pub(crate) fn run_sharded<P>(
     graph: &Graph,
     protocol: &P,
     cfg: &SimConfig,
-    threads: usize,
-) -> Result<SimResult<P::State>, SimError>
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send,
-{
-    let mut scratch = ParScratch::empty();
-    run_parallel_inner(graph, protocol, cfg, threads, &mut scratch, None)
-}
-
-/// [`run_parallel`] with a round observer attached: each shard records
-/// its slice of every busy round, and the merged stream — identical to
-/// what the sequential [`crate::run_observed`] emits — is replayed into
-/// `observer` when the run completes (see [`crate::observer`]).
-///
-/// # Errors
-///
-/// Same contract as [`run_parallel`]; on an error nothing is replayed.
-pub fn run_parallel_observed<P>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    threads: usize,
-    observer: &mut dyn RoundObserver,
-) -> Result<SimResult<P::State>, SimError>
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send,
-{
-    let mut scratch = ParScratch::empty();
-    run_parallel_inner(graph, protocol, cfg, threads, &mut scratch, Some(observer))
-}
-
-/// [`run_parallel`], reusing caller-owned scratch across runs (the
-/// sharded counterpart of [`crate::run_with_scratch`]).
-///
-/// # Errors
-///
-/// Same contract as [`run_parallel`].
-pub fn run_parallel_with_scratch<P>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    threads: usize,
-    scratch: &mut ParScratch<P::Msg>,
-) -> Result<SimResult<P::State>, SimError>
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send,
-{
-    run_parallel_inner(graph, protocol, cfg, threads, scratch, None)
-}
-
-/// The one sharded entry point behind every `run_parallel*` variant;
-/// observation is `None` on the unobserved paths, so shards skip trace
-/// recording entirely unless someone is listening.
-fn run_parallel_inner<P>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    threads: usize,
-    scratch: &mut ParScratch<P::Msg>,
+    plan: &ShardPlan,
+    shards: &mut [ShardScratch],
     observer: Option<&mut dyn RoundObserver>,
 ) -> Result<SimResult<P::State>, SimError>
 where
@@ -171,58 +38,37 @@ where
     P::State: Send,
     P::Msg: Send,
 {
-    cfg.validate()?;
-    let k = threads.max(1);
-    scratch.fit_to(graph, k);
-    let ParScratch {
-        plan,
-        shards,
-        exchange,
-        sync,
-        ..
-    } = scratch;
-    let plan: &ShardPlan = plan;
-    let exchange: &Exchange<P::Msg> = exchange;
-    let sync: &RoundSync = sync;
-
+    let k = plan.k();
+    debug_assert!(k >= 2 && shards.len() == k);
+    let sync = RoundSync::new(k);
+    // One exchange cell per cut pair — not k²: shard pairs without cut
+    // edges have no cell, no buffer, and no per-round cost.
+    let exchange: Exchange<P::Msg> =
+        Exchange::new((0..plan.pair_count()).map(|p| plan.pair_capacity(p)));
     let record = observer.is_some();
-    let mut outcomes: Vec<ShardOutcome<P::State>> = Vec::with_capacity(k);
-    let (first, rest) = shards.split_first_mut().expect("k >= 1 shards");
-    if rest.is_empty() {
-        // Single shard: run on the calling thread, spawn nothing.
-        outcomes.push(run_shard(
-            0, graph, plan, protocol, cfg, sync, exchange, first, record,
-        ));
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = rest
-                .iter_mut()
-                .enumerate()
-                .map(|(i, sc)| {
-                    scope.spawn(move || {
-                        run_shard(
-                            i + 1,
-                            graph,
-                            plan,
-                            protocol,
-                            cfg,
-                            sync,
-                            exchange,
-                            sc,
-                            record,
-                        )
-                    })
-                })
-                .collect();
-            // Shard 0 runs on the calling thread; one spawn saved.
-            outcomes.push(run_shard(
-                0, graph, plan, protocol, cfg, sync, exchange, first, record,
-            ));
-            for h in handles {
-                outcomes.push(h.join().expect("shard worker died outside a protocol call"));
-            }
-        });
-    }
+    let shard = |s: usize, scratch: &mut ShardScratch| {
+        let link = Link {
+            shard: s,
+            sync: &sync,
+            exchange: &exchange,
+        };
+        let events = if record { Events::Record } else { Events::Off };
+        run_shard::<P, true>(graph, protocol, cfg, plan, scratch, Some(link), events)
+    };
+    let (first, rest) = shards.split_first_mut().expect("k >= 2 shards");
+    let outcomes = std::thread::scope(|scope| {
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .enumerate()
+            .map(|(i, scratch)| scope.spawn(move || shard(i + 1, scratch)))
+            .collect();
+        // Shard 0 runs on the calling thread; one spawn saved.
+        let mut outcomes = vec![shard(0, first)];
+        for h in handles {
+            outcomes.push(h.join().expect("shard worker died outside a protocol call"));
+        }
+        outcomes
+    });
     merge(graph, outcomes, observer, plan.cut_slots())
 }
 
@@ -232,7 +78,7 @@ where
 /// the same values). When an observer rode along, the per-shard round
 /// traces — recorded in lockstep, one entry per globally busy round —
 /// are summed entry-wise and replayed in round order, reproducing the
-/// sequential engine's event stream exactly.
+/// one-shard event stream exactly.
 fn merge<S>(
     graph: &Graph,
     mut outcomes: Vec<ShardOutcome<S>>,
@@ -317,65 +163,23 @@ fn merge<S>(
     })
 }
 
-/// Dispatches on [`SimConfig::threads`]: `0` runs the sequential engine
-/// on the calling thread, anything else runs [`run_parallel`] with that
-/// many workers. Bit-identical either way; this is what single-run
-/// algorithm entry points call ([`crate::Pipeline`] dispatches the same
-/// way, with its shared [`crate::EngineScratch`] on the sequential arm).
-///
-/// # Errors
-///
-/// Same contract as [`crate::run`].
-pub fn run_auto<P>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-) -> Result<SimResult<P::State>, SimError>
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send,
-{
-    if cfg.threads == 0 {
-        crate::engine::run(graph, protocol, cfg)
-    } else {
-        run_parallel(graph, protocol, cfg, cfg.threads)
-    }
-}
-
-/// [`run_auto`] with a round observer attached; the observed event
-/// stream is identical for every [`SimConfig::threads`] value (streamed
-/// live on the sequential engine, replayed at completion on the sharded
-/// one — see [`crate::observer`]).
-///
-/// # Errors
-///
-/// Same contract as [`crate::run`].
-pub fn run_auto_observed<P>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    observer: &mut dyn RoundObserver,
-) -> Result<SimResult<P::State>, SimError>
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send,
-{
-    if cfg.threads == 0 {
-        crate::engine::run_observed(graph, protocol, cfg, observer)
-    } else {
-        run_parallel_observed(graph, protocol, cfg, cfg.threads, observer)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::engine::{run, Inbox, InitApi, RecvApi, SendApi};
+    use crate::engine::{run, run_with, EngineScratch, Inbox, InitApi, RecvApi, SendApi};
     use crate::NodeId;
-    use mis_graphs::generators;
+    use crate::{Protocol, RoundLog, SimConfig, SimError, SimResult};
+    use mis_graphs::{generators, Graph};
     use rand::Rng;
+
+    /// An observed run on a fresh scratch.
+    fn observed<P>(g: &Graph, p: &P, cfg: &SimConfig, log: &mut RoundLog) -> SimResult<P::State>
+    where
+        P: Protocol + Sync,
+        P::State: Send,
+        P::Msg: Send,
+    {
+        run_with(g, p, cfg, &mut EngineScratch::new(g), Some(log)).unwrap()
+    }
 
     /// Chatty protocol exercising every delivery path: broadcasts, rank
     /// sends, sleeping receivers, halts, and RNG draws.
@@ -451,7 +255,7 @@ mod tests {
             let cfg = SimConfig::seeded(11);
             let seq = run(&g, &Gossip { rounds: 12 }, &cfg).unwrap();
             for threads in [1, 2, 3, 4, 8] {
-                let par = run_parallel(&g, &Gossip { rounds: 12 }, &cfg, threads).unwrap();
+                let par = run(&g, &Gossip { rounds: 12 }, &cfg.with_threads(threads)).unwrap();
                 assert_eq!(par.metrics, seq.metrics, "{name} @ {threads} threads");
                 assert_eq!(par.states, seq.states, "{name} @ {threads} threads");
             }
@@ -480,19 +284,16 @@ mod tests {
         for (name, g) in graphs() {
             for ch in &channels {
                 let cfg = SimConfig::seeded(11).with_channel(ch.clone());
-                let mut seq_log = crate::RoundLog::new();
-                let seq =
-                    crate::run_observed(&g, &Gossip { rounds: 12 }, &cfg, &mut seq_log).unwrap();
+                let mut seq_log = RoundLog::new();
+                let seq = observed(&g, &Gossip { rounds: 12 }, &cfg, &mut seq_log);
                 for threads in [1, 2, 3, 4, 8] {
-                    let mut par_log = crate::RoundLog::new();
-                    let par = run_parallel_observed(
+                    let mut par_log = RoundLog::new();
+                    let par = observed(
                         &g,
                         &Gossip { rounds: 12 },
-                        &cfg,
-                        threads,
+                        &cfg.with_threads(threads),
                         &mut par_log,
-                    )
-                    .unwrap();
+                    );
                     assert_eq!(
                         par.metrics, seq.metrics,
                         "{name} {ch:?} @ {threads} threads"
@@ -507,19 +308,19 @@ mod tests {
         }
     }
 
-    /// The cross-engine observation contract: the merged parallel event
-    /// stream is identical to the sequential one at every thread count.
+    /// The cross-configuration observation contract: the merged event
+    /// stream of a `k ≥ 2` run is identical to the live one-shard stream
+    /// at every thread count.
     #[test]
     fn observed_events_identical_across_thread_counts() {
         for (name, g) in graphs() {
             let cfg = SimConfig::seeded(11);
-            let mut seq_log = crate::RoundLog::new();
-            let seq = crate::run_observed(&g, &Gossip { rounds: 12 }, &cfg, &mut seq_log).unwrap();
+            let mut seq_log = RoundLog::new();
+            let seq = observed(&g, &Gossip { rounds: 12 }, &cfg, &mut seq_log);
             for threads in [1, 2, 4] {
-                let mut par_log = crate::RoundLog::new();
-                let par =
-                    run_parallel_observed(&g, &Gossip { rounds: 12 }, &cfg, threads, &mut par_log)
-                        .unwrap();
+                let mut par_log = RoundLog::new();
+                let cfg = cfg.with_threads(threads);
+                let par = observed(&g, &Gossip { rounds: 12 }, &cfg, &mut par_log);
                 assert_eq!(par.metrics, seq.metrics, "{name} @ {threads} threads");
                 assert_eq!(par_log, seq_log, "{name} @ {threads} threads: event stream");
             }
@@ -528,9 +329,9 @@ mod tests {
 
     /// Probes (inside `Metrics`) are thread-invariant — covered by every
     /// `par.metrics == seq.metrics` assertion above — while the
-    /// per-configuration `stats` legitimately differ: the sequential
-    /// engine reports 0 shards and no cut traffic, a 2-worker run
-    /// reports 2 shards and nonzero mailbox activity.
+    /// per-configuration `stats` legitimately differ: `threads = 0`
+    /// reports 0 shards and no cut traffic, a 2-worker run reports 2
+    /// shards and nonzero mailbox activity.
     #[test]
     fn engine_stats_report_shards_and_cut_traffic() {
         let g = generators::grid2d(8, 8);
@@ -540,7 +341,7 @@ mod tests {
         assert_eq!(seq.stats.cut_messages, 0);
         assert_eq!(seq.stats.mailbox_posts, 0);
         assert!(seq.metrics.probes.wakeups_scheduled > 0, "probes dead");
-        let par = run_parallel(&g, &Gossip { rounds: 8 }, &cfg, 2).unwrap();
+        let par = run(&g, &Gossip { rounds: 8 }, &cfg.with_threads(2)).unwrap();
         assert_eq!(par.stats.shards, 2);
         assert!(par.stats.cut_messages > 0, "a split grid has cut edges");
         assert!(par.stats.mailbox_posts > 0);
@@ -548,17 +349,22 @@ mod tests {
     }
 
     #[test]
-    fn run_auto_dispatches_on_threads() {
+    fn run_dispatches_on_threads() {
         let g = generators::cycle(40);
-        let seq = run_auto(&g, &Gossip { rounds: 8 }, &SimConfig::seeded(3)).unwrap();
-        let par = run_auto(
-            &g,
-            &Gossip { rounds: 8 },
-            &SimConfig::seeded(3).with_threads(4),
-        )
-        .unwrap();
-        assert_eq!(seq.metrics, par.metrics);
-        assert_eq!(seq.states, par.states);
+        let run_at = |threads| {
+            let cfg = SimConfig::seeded(3).with_threads(threads);
+            run(&g, &Gossip { rounds: 8 }, &cfg).unwrap()
+        };
+        let seq = run_at(0);
+        for (threads, shards) in [(0, 0), (1, 1), (4, 4)] {
+            let res = run_at(threads);
+            assert_eq!(res.stats.shards, shards, "{threads} threads");
+            assert_eq!(seq.metrics, res.metrics);
+            assert_eq!(seq.states, res.states);
+        }
+        // One worker: every busy round is local-only.
+        assert_eq!(run_at(1).stats.local_only_rounds, seq.metrics.busy_rounds);
+        assert_eq!(seq.stats.local_only_rounds, 0);
     }
 
     #[test]
@@ -567,16 +373,12 @@ mod tests {
         let cfg = SimConfig::seeded(7);
         let baseline = run(&g, &Gossip { rounds: 10 }, &cfg).unwrap();
 
-        let mut scratch = ParScratch::new(&g, 4);
-        let first =
-            run_parallel_with_scratch(&g, &Gossip { rounds: 10 }, &cfg, 4, &mut scratch).unwrap();
-        // One more warmup run: exchange buffers ping-pong capacity with
-        // the mailboxes, so the steady state needs a full swap cycle.
-        let _ =
-            run_parallel_with_scratch(&g, &Gossip { rounds: 10 }, &cfg, 4, &mut scratch).unwrap();
+        let cfg4 = cfg.with_threads(4);
+        let mut scratch = EngineScratch::new(&g);
+        let first = run_with(&g, &Gossip { rounds: 10 }, &cfg4, &mut scratch, None).unwrap();
+        let _ = run_with(&g, &Gossip { rounds: 10 }, &cfg4, &mut scratch, None).unwrap();
         let warm = scratch.capacity_signature();
-        let third =
-            run_parallel_with_scratch(&g, &Gossip { rounds: 10 }, &cfg, 4, &mut scratch).unwrap();
+        let third = run_with(&g, &Gossip { rounds: 10 }, &cfg4, &mut scratch, None).unwrap();
         assert_eq!(
             warm,
             scratch.capacity_signature(),
@@ -593,13 +395,17 @@ mod tests {
         let g1 = generators::path(50);
         let g2 = generators::grid2d(8, 8);
         let cfg = SimConfig::seeded(2);
-        let mut scratch = ParScratch::new(&g1, 2);
-        let a =
-            run_parallel_with_scratch(&g1, &Gossip { rounds: 6 }, &cfg, 2, &mut scratch).unwrap();
-        let b =
-            run_parallel_with_scratch(&g2, &Gossip { rounds: 6 }, &cfg, 5, &mut scratch).unwrap();
-        let c =
-            run_parallel_with_scratch(&g1, &Gossip { rounds: 6 }, &cfg, 3, &mut scratch).unwrap();
+        let mut scratch = EngineScratch::new(&g1);
+        let mut at = |g: &Graph, threads| {
+            let cfg = cfg.with_threads(threads);
+            run_with(g, &Gossip { rounds: 6 }, &cfg, &mut scratch, None).unwrap()
+        };
+        let a = at(&g1, 2);
+        let b = at(&g2, 5);
+        let c = at(&g1, 3);
+        // Back to one shard, and to two on the other graph.
+        let d = at(&g2, 0);
+        let e = at(&g2, 2);
         assert_eq!(
             a.metrics,
             run(&g1, &Gossip { rounds: 6 }, &cfg).unwrap().metrics
@@ -609,6 +415,8 @@ mod tests {
             run(&g2, &Gossip { rounds: 6 }, &cfg).unwrap().metrics
         );
         assert_eq!(c.states, a.states);
+        assert_eq!(d.metrics, b.metrics);
+        assert_eq!(e.states, b.states);
     }
 
     /// Every node broadcasts once, in round 0, and halts.
@@ -627,7 +435,7 @@ mod tests {
         }
     }
 
-    /// Rounds across the 32-bit tick wrap-around, on both engines. A
+    /// Rounds across the 32-bit tick wrap-around, at every shard count. A
     /// warm-up run leaves every claim word (and each shard's
     /// `out_stamp` on every cut edge) holding tick 1; then the tick
     /// starts just below 2^32, and a 14-round run crosses the wrap after
@@ -637,7 +445,6 @@ mod tests {
     #[test]
     fn tick_wrap_around_replays_fresh_runs() {
         use crate::channel::ChannelModel;
-        use crate::engine::run_with_scratch;
         let g = generators::grid2d(10, 9);
         let proto = Gossip { rounds: 12 };
         let below_wrap = u32::MAX - 1;
@@ -655,21 +462,12 @@ mod tests {
                 _ => {}
             }
 
-            let mut scratch = crate::EngineScratch::new(&g);
-            run_with_scratch(&g, &Shout, &cfg, &mut scratch).unwrap();
-            scratch.start_tick_at(below_wrap);
-            let seq = run_with_scratch(&g, &proto, &cfg, &mut scratch).unwrap();
-            assert_eq!(seq.metrics, fresh.metrics, "{ch:?} sequential");
-            assert_eq!(seq.states, fresh.states, "{ch:?} sequential");
-
-            for threads in [1, 2, 4] {
-                let mut scratch = ParScratch::new(&g, threads);
-                run_parallel_with_scratch(&g, &Shout, &cfg, threads, &mut scratch).unwrap();
-                for shard in &mut scratch.shards {
-                    shard.start_tick_at(below_wrap);
-                }
-                let par =
-                    run_parallel_with_scratch(&g, &proto, &cfg, threads, &mut scratch).unwrap();
+            for threads in [0, 1, 2, 4] {
+                let cfg = cfg.with_threads(threads);
+                let mut scratch = EngineScratch::new(&g);
+                run_with(&g, &Shout, &cfg, &mut scratch, None).unwrap();
+                scratch.start_tick_at(below_wrap);
+                let par = run_with(&g, &proto, &cfg, &mut scratch, None).unwrap();
                 assert_eq!(par.metrics, fresh.metrics, "{ch:?} @ {threads} threads");
                 assert_eq!(par.states, fresh.states, "{ch:?} @ {threads} threads");
             }
@@ -681,7 +479,7 @@ mod tests {
         let g = generators::path(3);
         let cfg = SimConfig::seeded(1);
         let seq = run(&g, &Gossip { rounds: 5 }, &cfg).unwrap();
-        let par = run_parallel(&g, &Gossip { rounds: 5 }, &cfg, 8).unwrap();
+        let par = run(&g, &Gossip { rounds: 5 }, &cfg.with_threads(8)).unwrap();
         assert_eq!(par.metrics, seq.metrics);
         assert_eq!(par.states, seq.states);
     }
@@ -711,7 +509,8 @@ mod tests {
         // last shard when split; every thread count must reject it.
         let g = generators::star(32);
         for threads in [1, 2, 4] {
-            let err = run_parallel(&g, &CrossDouble, &SimConfig::default(), threads).unwrap_err();
+            let cfg = SimConfig::default().with_threads(threads);
+            let err = run(&g, &CrossDouble, &cfg).unwrap_err();
             assert!(
                 matches!(err, SimError::DuplicateDestination { src: 0, .. }),
                 "threads {threads}: {err:?}"
@@ -739,17 +538,17 @@ mod tests {
             max_rounds: 50,
             ..SimConfig::default()
         };
-        for threads in [1, 3] {
+        for threads in [0, 1, 3] {
             assert_eq!(
-                run_parallel(&g, &Forever, &cfg, threads).unwrap_err(),
+                run(&g, &Forever, &cfg.with_threads(threads)).unwrap_err(),
                 SimError::ExceededMaxRounds { max_rounds: 50 }
             );
         }
     }
 
     /// `u64::MAX` is a legal round, not a sentinel: a protocol that
-    /// schedules it must get the same `ExceededMaxRounds` from both
-    /// engines, not a silent `Ok` from the parallel one.
+    /// schedules it must get the same `ExceededMaxRounds` at every shard
+    /// count, not a silent `Ok` from a `k ≥ 2` run.
     #[test]
     fn round_u64_max_is_not_treated_as_drained() {
         struct FarSleeper;
@@ -769,7 +568,7 @@ mod tests {
         let seq = run(&g, &FarSleeper, &cfg).unwrap_err();
         for threads in [1, 2] {
             assert_eq!(
-                run_parallel(&g, &FarSleeper, &cfg, threads).unwrap_err(),
+                run(&g, &FarSleeper, &cfg.with_threads(threads)).unwrap_err(),
                 seq,
                 "threads {threads}"
             );
@@ -791,18 +590,24 @@ mod tests {
             fn recv(&self, _s: &mut (), _i: Inbox<'_, ()>, _api: &mut RecvApi<'_>) {}
         }
         let g = generators::path(10);
-        for threads in [1, 2, 4] {
+        for threads in [0, 1, 2, 4] {
             let res = std::panic::catch_unwind(|| {
-                let _ = run_parallel(&g, &Bomb, &SimConfig::default(), threads);
+                let _ = run(&g, &Bomb, &SimConfig::default().with_threads(threads));
             });
             assert!(res.is_err(), "threads {threads}: panic swallowed");
         }
     }
 
-    /// An error after real traffic must leave reused scratch clean.
+    /// An abort after real traffic — an engine error, or a protocol panic
+    /// the caller catches — must leave reused scratch clean: at every
+    /// shard count, the next run on the same scratch equals a fresh one.
     #[test]
     fn scratch_survives_an_aborted_run() {
-        struct FailLate;
+        /// Broadcasts for four rounds; in round 2 node 0 either sends a
+        /// duplicate of its broadcast or panics mid-send.
+        struct FailLate {
+            panic: bool,
+        }
         impl Protocol for FailLate {
             type State = ();
             type Msg = u32;
@@ -812,6 +617,7 @@ mod tests {
             fn send(&self, _s: &mut (), api: &mut SendApi<'_, u32>) {
                 api.broadcast(1);
                 if api.round() == 2 && api.node() == 0 {
+                    assert!(!self.panic, "boom in round 2");
                     let last = api.degree() - 1;
                     api.send_to_rank(last, 9); // duplicate of the broadcast
                 }
@@ -819,16 +625,86 @@ mod tests {
             fn recv(&self, _s: &mut (), _i: Inbox<'_, u32>, _api: &mut RecvApi<'_>) {}
         }
         let g = generators::cycle(24);
-        let cfg = SimConfig::default();
-        let mut scratch = ParScratch::new(&g, 3);
-        let err = run_parallel_with_scratch(&g, &FailLate, &cfg, 3, &mut scratch).unwrap_err();
-        assert!(matches!(err, SimError::DuplicateDestination { .. }));
-        // A good protocol on the same scratch still matches sequential.
-        let seq = run(&g, &Gossip { rounds: 7 }, &cfg).unwrap();
-        let par =
-            run_parallel_with_scratch(&g, &Gossip { rounds: 7 }, &cfg, 3, &mut scratch).unwrap();
-        assert_eq!(par.metrics, seq.metrics);
-        assert_eq!(par.states, seq.states);
+        for threads in [0, 1, 3] {
+            let cfg = SimConfig::default().with_threads(threads);
+            let fresh = run(&g, &Gossip { rounds: 7 }, &cfg).unwrap();
+            let mut scratch = EngineScratch::new(&g);
+            let err = run_with(&g, &FailLate { panic: false }, &cfg, &mut scratch, None);
+            assert!(
+                matches!(err, Err(SimError::DuplicateDestination { .. })),
+                "threads {threads}: {err:?}"
+            );
+            let after_error = run_with(&g, &Gossip { rounds: 7 }, &cfg, &mut scratch, None);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_with(&g, &FailLate { panic: true }, &cfg, &mut scratch, None)
+            }));
+            assert!(caught.is_err(), "threads {threads}: panic swallowed");
+            let after_panic = run_with(&g, &Gossip { rounds: 7 }, &cfg, &mut scratch, None);
+            for reused in [after_error.unwrap(), after_panic.unwrap()] {
+                assert_eq!(reused.metrics, fresh.metrics, "threads {threads}");
+                assert_eq!(reused.states, fresh.states, "threads {threads}");
+            }
+        }
+    }
+
+    /// Sending twice to a neighbor that sleeps this round is still a
+    /// duplicate destination, though neither payload is delivered: by
+    /// two rank sends, or by a broadcast and then an id send, to a
+    /// receiver on the sender's shard or on another.
+    #[test]
+    fn duplicate_send_to_a_sleeping_receiver_rejected() {
+        struct SleeperDouble {
+            broadcast_first: bool,
+            last_rank: bool,
+        }
+        impl Protocol for SleeperDouble {
+            type State = ();
+            type Msg = ();
+            fn init(&self, node: NodeId, api: &mut InitApi<'_>) {
+                // Only the hub is awake in round 0; the leaves sleep.
+                api.wake_at(u64::from(node != 0));
+            }
+            fn send(&self, _s: &mut (), api: &mut SendApi<'_, ()>) {
+                if api.node() != 0 {
+                    return;
+                }
+                let rank = if self.last_rank { api.degree() - 1 } else { 0 };
+                if self.broadcast_first {
+                    let dst = api.neighbors()[rank];
+                    api.broadcast(());
+                    api.send(dst, ());
+                } else {
+                    api.send_to_rank(rank, ());
+                    api.send_to_rank(rank, ());
+                }
+            }
+            fn recv(&self, _s: &mut (), _i: Inbox<'_, ()>, _api: &mut RecvApi<'_>) {}
+        }
+        // The hub is node 0; at two shards its first leaf shares its
+        // shard and its last leaf does not.
+        let g = generators::star(32);
+        for threads in [0, 1, 2] {
+            for broadcast_first in [false, true] {
+                for last_rank in [false, true] {
+                    let proto = SleeperDouble {
+                        broadcast_first,
+                        last_rank,
+                    };
+                    let err = run(&g, &proto, &SimConfig::default().with_threads(threads));
+                    assert!(
+                        matches!(
+                            err,
+                            Err(SimError::DuplicateDestination {
+                                src: 0,
+                                round: 0,
+                                ..
+                            })
+                        ),
+                        "threads {threads}, broadcast {broadcast_first}, last {last_rank}: {err:?}"
+                    );
+                }
+            }
+        }
     }
 
     /// Bandwidth accounting (lax and strict) is engine-independent.
@@ -852,7 +728,7 @@ mod tests {
             ..SimConfig::default()
         };
         let seq = run(&g, &Big, &lax).unwrap();
-        let par = run_parallel(&g, &Big, &lax, 4).unwrap();
+        let par = run(&g, &Big, &lax.with_threads(4)).unwrap();
         assert_eq!(seq.metrics, par.metrics);
         assert_eq!(seq.metrics.bandwidth_violations, 40);
 
@@ -862,7 +738,7 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(matches!(
-            run_parallel(&g, &Big, &strict, 2).unwrap_err(),
+            run(&g, &Big, &strict.with_threads(2)).unwrap_err(),
             SimError::BandwidthExceeded { .. }
         ));
     }

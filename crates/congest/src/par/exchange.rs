@@ -110,39 +110,20 @@ struct PairCell<M> {
 }
 
 impl<M> Exchange<M> {
-    pub fn new() -> Exchange<M> {
-        Exchange { cells: Vec::new() }
-    }
-
-    /// Resizes for one cut pair per element of `caps`, resets every
-    /// sequence counter, drops any payloads left over from an aborted
-    /// run (keeping buffer capacity), and pre-reserves each cell's
-    /// buffer to its pair's worst-case payload count. The pre-reserve
-    /// keeps the two ping-pong buffers of a pair (the cell's and the
-    /// sender's staging buffer, which swap on every post) at identical
-    /// capacities, so no post ever grows a buffer mid-round and the
-    /// capacity signature is stable however many swaps a run performs.
-    pub fn fit<I>(&mut self, caps: I)
-    where
-        I: IntoIterator<Item = usize>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let caps = caps.into_iter();
-        if self.cells.len() < caps.len() {
-            self.cells.resize_with(caps.len(), || PairCell {
-                seq: AtomicU64::new(0),
-                buf: Mutex::new(Vec::new()),
-            });
-        }
-        for cell in &mut self.cells {
-            *cell.seq.get_mut() = 0;
-            cell.buf.get_mut().expect("exchange cell poisoned").clear();
-        }
-        for (cell, cap) in self.cells.iter_mut().zip(caps) {
-            cell.buf
-                .get_mut()
-                .expect("exchange cell poisoned")
-                .reserve_exact(cap);
+    /// One cell per cut pair, each cell's buffer reserved to its pair's
+    /// worst-case payload count (`caps`). The reserve keeps the two
+    /// ping-pong buffers of a pair (the cell's and the sender's staging
+    /// buffer, reserved the same way, which swap on every post) large
+    /// enough for any round, so no post ever grows a buffer mid-round.
+    pub fn new(caps: impl IntoIterator<Item = usize>) -> Exchange<M> {
+        Exchange {
+            cells: caps
+                .into_iter()
+                .map(|cap| PairCell {
+                    seq: AtomicU64::new(0),
+                    buf: Mutex::new(Vec::with_capacity(cap)),
+                })
+                .collect(),
         }
     }
 
@@ -190,16 +171,6 @@ impl<M> Exchange<M> {
     pub fn take(&self, p: usize) -> MutexGuard<'_, Vec<Staged<M>>> {
         self.cells[p].buf.lock().expect("exchange cell poisoned")
     }
-
-    /// Buffer capacities for the allocation oracle.
-    pub fn capacity_signature(&mut self, out: &mut Vec<usize>) {
-        out.push(self.cells.capacity());
-        out.extend(
-            self.cells
-                .iter_mut()
-                .map(|c| c.buf.get_mut().expect("exchange cell poisoned").capacity()),
-        );
-    }
 }
 
 /// Shared round-agreement state of one parallel run — the *one* publish
@@ -239,48 +210,17 @@ pub(crate) struct RoundSync {
 }
 
 impl RoundSync {
-    pub fn new() -> RoundSync {
+    /// Fresh agreement state for `k` workers.
+    pub fn new(k: usize) -> RoundSync {
+        let slots = 2 * k;
         RoundSync {
-            barrier: SpinBarrier::new(1),
-            k: 0,
-            next: Vec::new(),
-            has_next: Vec::new(),
-            active: Vec::new(),
-            posted: Vec::new(),
-            failed: Vec::new(),
-        }
-    }
-
-    /// Resizes for `k` workers and resets all per-run state.
-    pub fn fit(&mut self, k: usize) {
-        if self.k != k {
-            self.barrier = SpinBarrier::new(k);
-            self.k = k;
-            self.next.clear();
-            self.next.resize_with(2 * k, || AtomicU64::new(0));
-            self.has_next.clear();
-            self.has_next.resize_with(2 * k, || AtomicBool::new(false));
-            self.active.clear();
-            self.active.resize_with(2 * k, || AtomicUsize::new(0));
-            self.posted.clear();
-            self.posted.resize_with(2 * k, || AtomicBool::new(false));
-            self.failed.clear();
-            self.failed.resize_with(2 * k, || AtomicBool::new(false));
-        }
-        for a in &mut self.next {
-            *a.get_mut() = 0;
-        }
-        for a in &mut self.has_next {
-            *a.get_mut() = false;
-        }
-        for a in &mut self.active {
-            *a.get_mut() = 0;
-        }
-        for a in &mut self.posted {
-            *a.get_mut() = false;
-        }
-        for a in &mut self.failed {
-            *a.get_mut() = false;
+            barrier: SpinBarrier::new(k),
+            k,
+            next: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            has_next: (0..slots).map(|_| AtomicBool::new(false)).collect(),
+            active: (0..slots).map(|_| AtomicUsize::new(0)).collect(),
+            posted: (0..slots).map(|_| AtomicBool::new(false)).collect(),
+            failed: (0..slots).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -368,8 +308,7 @@ mod tests {
 
     #[test]
     fn exchange_swap_preserves_capacity() {
-        let mut ex: Exchange<u32> = Exchange::new();
-        ex.fit([16, 16]);
+        let ex: Exchange<u32> = Exchange::new([16, 16]);
         let mut buf = Vec::with_capacity(16);
         buf.push((3, 1, 7u32));
         ex.post(0, &mut buf);
@@ -380,11 +319,10 @@ mod tests {
             let mut got = ex.take(0);
             assert_eq!(got.as_slice(), &[(3, 1, 7u32)]);
             got.drain(..);
+            // The posted buffer's capacity now sits (drained) in the
+            // cell…
+            assert!(got.capacity() >= 16, "capacity lost");
         }
-        // The posted buffer's capacity now sits (drained) in the cell…
-        let mut sig = Vec::new();
-        ex.capacity_signature(&mut sig);
-        assert!(sig.iter().any(|&c| c >= 16), "capacity lost: {sig:?}");
         // …and the next round's post swaps it back out to the sender:
         // the two buffers ping-pong, nothing is ever reallocated.
         ex.post(0, &mut buf);
@@ -393,11 +331,7 @@ mod tests {
 
     #[test]
     fn empty_rounds_skip_without_touching_the_cell() {
-        let ex: Exchange<u32> = {
-            let mut e = Exchange::new();
-            e.fit([4]);
-            e
-        };
+        let ex: Exchange<u32> = Exchange::new([4]);
         // Three participating rounds with nothing staged: publish-only.
         for count in 1..=3 {
             ex.publish(0, count, false);
@@ -412,27 +346,8 @@ mod tests {
     }
 
     #[test]
-    fn fit_drops_leftovers_but_keeps_capacity() {
-        let mut ex: Exchange<u32> = Exchange::new();
-        ex.fit([4, 4, 4]);
-        let mut buf = vec![(0, 0, 1u32), (1, 1, 2u32)];
-        let cap = buf.capacity();
-        ex.post(2, &mut buf);
-        ex.publish(2, 1, true);
-        ex.fit([4, 4, 4]); // aborted-run cleanup
-        assert!(ex.take(2).is_empty());
-        // Sequence counters restart from zero for the next run.
-        ex.publish(2, 1, false);
-        assert!(!ex.await_seq(2, 1));
-        let mut sig = Vec::new();
-        ex.capacity_signature(&mut sig);
-        assert!(sig.iter().any(|&c| c >= cap));
-    }
-
-    #[test]
     fn round_sync_min_active_and_participation() {
-        let mut sync = RoundSync::new();
-        sync.fit(3);
+        let sync = RoundSync::new(3);
         for parity in [0, 1] {
             assert_eq!(sync.min_next(parity), None);
         }
@@ -458,15 +373,15 @@ mod tests {
         sync.publish(1, 1, None, 0, false, true);
         assert!(sync.failed(1));
         assert!(!sync.failed(0));
-        sync.fit(3);
-        assert!(!sync.failed(1));
-        assert_eq!(sync.min_next(0), None);
+        // A fresh run starts from a clean snapshot.
+        let fresh = RoundSync::new(3);
+        assert!(!fresh.failed(1));
+        assert_eq!(fresh.min_next(0), None);
     }
 
     #[test]
     fn round_u64_max_is_publishable() {
-        let mut sync = RoundSync::new();
-        sync.fit(2);
+        let sync = RoundSync::new(2);
         sync.publish(1, 0, Some(u64::MAX), 1, false, false);
         sync.publish(1, 1, None, 0, false, false);
         assert_eq!(sync.min_next(1), Some(u64::MAX));

@@ -1,12 +1,14 @@
-//! Deterministic sharded parallel round execution.
+//! Sharded round execution: the engine's one round loop, and the
+//! workers and exchange that run it at `k ≥ 2` shards.
 //!
-//! [`run_parallel`] executes the same sleeping-CONGEST semantics as the
-//! sequential [`crate::run`], but spreads each round's work across `k`
-//! worker threads. **Determinism is the contract:** for every graph,
-//! protocol, config, and thread count — including `k = 1` — the parallel
-//! engine produces *bit-identical* [`crate::Metrics`] and final states to
-//! the sequential engine. Thread count is a pure performance knob, never
-//! an observable.
+//! [`crate::run_with`] splits every run into `k = max(threads, 1)`
+//! contiguous shards and executes [`shard::run_shard`] once per shard.
+//! At `k = 1` that is the sequential engine: one shard, on the calling
+//! thread, with none of the machinery below. At `k ≥ 2` the shards run
+//! concurrently. **Determinism is the contract:** for every graph,
+//! protocol, config, and thread count, a run produces *bit-identical*
+//! [`crate::Metrics`], final states and round events. Thread count is a
+//! pure performance knob, never an observable.
 //!
 //! # Why this is possible
 //!
@@ -14,16 +16,17 @@
 //! every node draws from its own RNG (derived from `(seed, salt, node)`),
 //! and messages are claimed in per-directed-edge words indexed by the
 //! receiver's CSR layout, so inboxes come out ascending-by-sender no
-//! matter who wrote first. The sequential engine exploits this to skip sorting; the
-//! parallel engine exploits it to skip coordination.
+//! matter who wrote first. One shard exploits this to skip sorting;
+//! several exploit it to skip coordination.
 //!
 //! # Architecture: the one-barrier round
 //!
-//! Each worker crosses exactly **one rendezvous per round**. Everything
-//! else — round agreement, the busy/empty decision, failure aborts, and
-//! the cross-shard payload hand-off — rides on that single barrier or on
-//! per-pair sequence counters, so synchronization overhead scales with
-//! actual cross-shard traffic, not with `k²` or with barrier count:
+//! At `k ≥ 2` each worker crosses exactly **one rendezvous per round**.
+//! Everything else — round agreement, the busy/empty decision, failure
+//! aborts, and the cross-shard payload hand-off — rides on that single
+//! barrier or on per-pair sequence counters, so synchronization overhead
+//! scales with actual cross-shard traffic, not with `k²` or with barrier
+//! count:
 //!
 //! ```text
 //!        ┌──────────────── one loop iteration (round r) ───────────────┐
@@ -45,18 +48,18 @@
 //!   sparsest nearby cut; the [`partition::ShardPlan`] enumerates the
 //!   *cut pairs* (directed shard pairs that actually share cut edges)
 //!   with per-pair capacities, so the exchange allocates one cell per
-//!   cut pair instead of a `k²` mailbox matrix.
-//! * [`shard`] — each worker owns one shard's nodes: their RNGs, calendar
-//!   scheduler, halt and awake bits, claim words, round arena, and
-//!   states. Local sends claim the shard's own words directly; the
-//!   per-round loop lives here.
+//!   cut pair instead of a `k²` mailbox matrix. A one-shard plan has no
+//!   cut and costs two boundary searches.
+//! * [`shard`] — the round loop, and the untyped per-shard scratch it
+//!   runs on: RNGs, calendar scheduler, halt and awake bits, active and
+//!   wake lists, claim words, and (at `k ≥ 2`) out stamps.
 //! * [`exchange`] — all inter-shard synchronization: the spinning
 //!   rendezvous barrier, the parity-double-buffered round-agreement
 //!   snapshot, and the per-cut-pair payload cells whose atomic sequence
 //!   counters replace the post-send barrier. A pair that moved nothing
 //!   this round costs its receiver one atomic load; a round in which no
-//!   shard posted at all is counted as local-only.
-//! * [`engine`] — spawn, scratch reuse, and the merge of per-shard
+//!   shard posted at all is counted as local-only. Both live for one run.
+//! * [`engine`] — the `k ≥ 2` run: spawn, and the merge of per-shard
 //!   outcomes into one result.
 //!
 //! Since the workspace forbids `unsafe`, no thread ever writes another
@@ -67,18 +70,14 @@
 //!
 //! # Caveat
 //!
-//! A protocol that *panics* mid-run aborts the whole parallel run: the
+//! A protocol that *panics* mid-run aborts the whole run. At `k ≥ 2` the
 //! panic is caught at the protocol boundary, all workers shut down at the
 //! next synchronization point, and the payload is re-raised on the
-//! calling thread. Protocol panics are programming errors, not control
+//! calling thread; at `k = 1` it unwinds directly. Either way the scratch
+//! stays reusable. Protocol panics are programming errors, not control
 //! flow.
 
 pub(crate) mod engine;
 pub(crate) mod exchange;
 pub(crate) mod partition;
 pub(crate) mod shard;
-
-pub use engine::{
-    run_auto, run_auto_observed, run_parallel, run_parallel_observed, run_parallel_with_scratch,
-    ParScratch,
-};

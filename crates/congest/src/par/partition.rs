@@ -12,11 +12,10 @@ pub(crate) const NO_PAIR: u32 = u32::MAX;
 /// so that the exchange allocates one cell per *cut* pair instead of a
 /// `k²` mailbox matrix.
 ///
-/// Rebuilt (allocation-free after warmup) at the start of every parallel
-/// run: boundaries depend on the graph's CSR offsets, so a cached plan
-/// can never be trusted across graphs — and rebuilding is one
-/// `O(k log n)` boundary search plus one `O(m)` counting sweep, noise
-/// next to the run itself.
+/// Boundaries depend on the graph's CSR offsets, so a plan is valid for
+/// one graph only. Rebuilding reuses every buffer and costs one
+/// `O(k log n)` boundary search plus, at `k ≥ 2`, one `O(m)` counting
+/// sweep; a one-shard plan has no cut and skips the sweep.
 #[derive(Debug)]
 pub(crate) struct ShardPlan {
     part: Partition,
@@ -65,15 +64,18 @@ impl ShardPlan {
         self.part.refit(graph, k);
         self.cross.clear();
         self.cross.resize(k * k, 0);
-        for s in 0..k {
-            let nodes = self.part.nodes(s);
-            for v in nodes.clone() {
-                for eid in graph.edge_range(v) {
-                    let dst = graph.edge_target(eid);
-                    if !nodes.contains(&dst) {
-                        let rid = graph.reverse_edge(eid);
-                        let t = self.part.shard_of_slot(rid);
-                        self.cross[s * k + t] += 1;
+        // One shard has no cut: skip the O(m) sweep.
+        if k > 1 {
+            for s in 0..k {
+                let nodes = self.part.nodes(s);
+                for v in nodes.clone() {
+                    for eid in graph.edge_range(v) {
+                        let dst = graph.edge_target(eid);
+                        if !nodes.contains(&dst) {
+                            let rid = graph.reverse_edge(eid);
+                            let t = self.part.shard_of_slot(rid);
+                            self.cross[s * k + t] += 1;
+                        }
                     }
                 }
             }

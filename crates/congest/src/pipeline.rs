@@ -1,12 +1,9 @@
 //! Multi-phase accounting.
 
-use crate::engine::{
-    run_with_scratch, run_with_scratch_observed, EngineScratch, Protocol, SimConfig, SimResult,
-};
+use crate::engine::{run_with, EngineScratch, Protocol, SimConfig, SimResult};
 use crate::error::SimError;
 use crate::metrics::Metrics;
 use crate::observer::RoundObserver;
-use crate::par::{run_parallel, run_parallel_observed};
 use mis_graphs::Graph;
 
 /// Chains protocol phases on one graph, accumulating time and energy the
@@ -16,10 +13,12 @@ use mis_graphs::Graph;
 /// Each phase gets a distinct RNG salt automatically, so phases draw
 /// independent randomness from the same master seed.
 ///
-/// On the sequential engine every phase runs on one [`EngineScratch`]
-/// that the pipeline owns, whatever the phases' message types, so a
-/// solve sizes the engine's per-edge claim array once rather than once
-/// per phase.
+/// Every phase runs on one [`EngineScratch`] that the pipeline owns,
+/// whatever the phases' message types and at any
+/// [`SimConfig::threads`], so a solve sizes the engine's per-edge claim
+/// arrays once rather than once per phase. The pipeline's graph never
+/// changes, so at `k ≥ 2` shards the scratch plans the split once, not
+/// once per phase.
 ///
 /// # Example
 ///
@@ -56,9 +55,8 @@ pub struct Pipeline<'g, 'o> {
     /// Optional per-round event sink; phases announce themselves through
     /// [`RoundObserver::on_phase`] before their rounds stream.
     observer: Option<&'o mut dyn RoundObserver>,
-    /// Sequential-engine buffers shared by every phase; sized by the
-    /// first phase, never touched when `cfg.threads > 0` (the parallel
-    /// engine allocates its own per run).
+    /// Engine buffers and shard plan shared by every phase; sized and
+    /// planned by the first phase.
     scratch: EngineScratch,
 }
 
@@ -85,7 +83,7 @@ impl<'g, 'o> Pipeline<'g, 'o> {
             phases: Vec::new(),
             engine: crate::telemetry::EngineStats::default(),
             observer: None,
-            scratch: EngineScratch::empty(),
+            scratch: EngineScratch::for_one_graph(),
         }
     }
 
@@ -101,9 +99,9 @@ impl<'g, 'o> Pipeline<'g, 'o> {
     /// Runs one phase, folds its metrics into the total, and returns the
     /// final per-node states.
     ///
-    /// Phases execute on the engine selected by [`SimConfig::threads`]
-    /// (sequential at 0, on the pipeline's shared scratch; sharded
-    /// parallel otherwise) with bit-identical results either way.
+    /// Phases execute on [`SimConfig::threads`] shards, on the
+    /// pipeline's shared scratch, with bit-identical results at every
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -116,24 +114,18 @@ impl<'g, 'o> Pipeline<'g, 'o> {
     {
         let cfg = self.cfg.with_salt(self.next_salt);
         self.next_salt += 1;
+        let observer: Option<&mut dyn RoundObserver> = match self.observer.as_deref_mut() {
+            Some(obs) => {
+                obs.on_phase(name);
+                Some(obs)
+            }
+            None => None,
+        };
         let SimResult {
             states,
             metrics,
             stats,
-        } = match self.observer.as_deref_mut() {
-            Some(obs) => {
-                obs.on_phase(name);
-                if cfg.threads == 0 {
-                    run_with_scratch_observed(self.graph, protocol, &cfg, &mut self.scratch, obs)
-                } else {
-                    run_parallel_observed(self.graph, protocol, &cfg, cfg.threads, obs)
-                }
-            }
-            None if cfg.threads == 0 => {
-                run_with_scratch(self.graph, protocol, &cfg, &mut self.scratch)
-            }
-            None => run_parallel(self.graph, protocol, &cfg, cfg.threads),
-        }?;
+        } = run_with(self.graph, protocol, &cfg, &mut self.scratch, observer)?;
         self.total.absorb(&metrics);
         self.engine.absorb(&stats);
         self.phases.push((name.to_string(), metrics));
@@ -305,24 +297,27 @@ mod tests {
     #[test]
     fn phases_of_different_message_types_share_one_scratch() {
         let g = generators::grid2d(9, 7);
-        let cfg = SimConfig::seeded(8);
-        let mut pipe = Pipeline::new(&g, cfg.clone());
-        let states = [
-            pipe.run_phase("u32", &words()).unwrap(),
-            pipe.run_phase("packed", &packed()).unwrap(),
-            pipe.run_phase("bool", &flags()).unwrap(),
-            pipe.run_phase("u32 again", &words()).unwrap(),
-        ];
-        let alone = [
-            crate::run(&g, &words(), &cfg.with_salt(0)).unwrap(),
-            crate::run(&g, &packed(), &cfg.with_salt(1)).unwrap(),
-            crate::run(&g, &flags(), &cfg.with_salt(2)).unwrap(),
-            crate::run(&g, &words(), &cfg.with_salt(3)).unwrap(),
-        ];
-        for (i, (got, want)) in states.iter().zip(&alone).enumerate() {
-            assert!(want.metrics.messages_delivered > 0, "phase {i} idle");
-            assert_eq!(got, &want.states, "phase {i} states");
-            assert_eq!(pipe.phases()[i].1, want.metrics, "phase {i} metrics");
+        // At two shards the phases also share the one shard plan.
+        for threads in [0, 2] {
+            let cfg = SimConfig::seeded(8).with_threads(threads);
+            let mut pipe = Pipeline::new(&g, cfg.clone());
+            let states = [
+                pipe.run_phase("u32", &words()).unwrap(),
+                pipe.run_phase("packed", &packed()).unwrap(),
+                pipe.run_phase("bool", &flags()).unwrap(),
+                pipe.run_phase("u32 again", &words()).unwrap(),
+            ];
+            let alone = [
+                crate::run(&g, &words(), &cfg.with_salt(0)).unwrap(),
+                crate::run(&g, &packed(), &cfg.with_salt(1)).unwrap(),
+                crate::run(&g, &flags(), &cfg.with_salt(2)).unwrap(),
+                crate::run(&g, &words(), &cfg.with_salt(3)).unwrap(),
+            ];
+            for (i, (got, want)) in states.iter().zip(&alone).enumerate() {
+                assert!(want.metrics.messages_delivered > 0, "phase {i} idle");
+                assert_eq!(got, &want.states, "phase {i} states @ {threads}");
+                assert_eq!(pipe.phases()[i].1, want.metrics, "phase {i} @ {threads}");
+            }
         }
     }
 
@@ -337,7 +332,7 @@ mod tests {
         let mut scratch = EngineScratch::new(&large);
         let mut warm = None;
         for g in [&large, &small, &large] {
-            let reused = run_with_scratch(g, &words(), &cfg, &mut scratch).unwrap();
+            let reused = run_with(g, &words(), &cfg, &mut scratch, None).unwrap();
             let fresh = crate::run(g, &words(), &cfg).unwrap();
             assert_eq!(reused.metrics, fresh.metrics);
             assert_eq!(reused.states, fresh.states);
@@ -347,9 +342,9 @@ mod tests {
             }
         }
         let warm = warm.unwrap();
-        let bits = run_with_scratch(&large, &packed(), &cfg, &mut scratch).unwrap();
+        let bits = run_with(&large, &packed(), &cfg, &mut scratch, None).unwrap();
         assert_eq!(warm, scratch.capacity_signature(), "PackedBits run");
-        let bools = run_with_scratch(&large, &flags(), &cfg, &mut scratch).unwrap();
+        let bools = run_with(&large, &flags(), &cfg, &mut scratch, None).unwrap();
         assert_eq!(warm, scratch.capacity_signature(), "bool run");
         assert_eq!(
             bits.states,

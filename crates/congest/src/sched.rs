@@ -133,12 +133,10 @@ impl BucketScheduler {
     }
 
     /// Earliest queued round without advancing the window — what
-    /// [`pop_round`] would return, with no mutation. The parallel engine
-    /// uses this to negotiate the global next round across shards before
-    /// any shard commits to it.
+    /// [`pop_round`] returns, with no mutation.
     ///
     /// [`pop_round`]: BucketScheduler::pop_round
-    pub fn peek_round(&self) -> Option<Round> {
+    fn peek_round(&self) -> Option<Round> {
         if self.pending == 0 {
             return None;
         }
@@ -157,18 +155,7 @@ impl BucketScheduler {
     /// overflow entries that now fall inside the window into the ring.
     /// Returns `None` when the queue is empty.
     pub fn pop_round(&mut self) -> Option<Round> {
-        if self.pending == 0 {
-            return None;
-        }
-        let round = match (self.scan_ring(), self.overflow_min) {
-            (Some(r), o) => r.min(o),
-            (None, o) => {
-                // Note `o == Round::MAX` is legitimate here when a real
-                // round u64::MAX is queued in the spill.
-                debug_assert!(!self.overflow.is_empty(), "pending > 0 but nothing queued");
-                o
-            }
-        };
+        let round = self.peek_round()?;
         self.base = round;
         if self.overflow_min < round.saturating_add(self.window as u64) {
             self.migrate();

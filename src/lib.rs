@@ -95,6 +95,17 @@
 //! | re-running from scratch after a graph edit | `incremental::from_name("inc-alg1")?` + `run_churn_on(alg, g, churn, &cfg)` (or an `edits:` [`Scenario`](mis_runner::Scenario)) |
 //! | clean-network-only runs (no channel knob) | `"gnp:n=..,deg=..;channel=loss:p=0.05".parse::<WorkloadSpec>()?` — the `;channel=` arm selects the delivery model ([`ChannelModel`](congest_sim::ChannelModel); default `ideal` is the old behavior, bit for bit) |
 //!
+//! The engine has two entry points, [`run`](congest_sim::run) and
+//! [`run_with`](congest_sim::run_with), and one round loop at every
+//! thread count; its nine old entry points are gone:
+//!
+//! | old (removed) | new |
+//! |---|---|
+//! | `run_auto(&g, &p, &cfg)`, `run_parallel(&g, &p, &cfg, t)` | `run(&g, &p, &cfg.with_threads(t))` |
+//! | `run_observed(&g, &p, &cfg, obs)`, `run_auto_observed(..)`, `run_parallel_observed(..)` | `run_with(&g, &p, &cfg, &mut EngineScratch::new(&g), Some(obs))` |
+//! | `run_with_scratch(&g, &p, &cfg, &mut s)`, `run_with_scratch_observed(..)` | `run_with(&g, &p, &cfg, &mut s, obs)` |
+//! | `run_parallel_with_scratch(&g, &p, &cfg, t, &mut ParScratch::new(&g, t))` | `run_with(&g, &p, &cfg.with_threads(t), &mut EngineScratch::new(&g), None)` |
+//!
 //! The old result types convert thinly:
 //! [`MisReport`](energy_mis::MisReport) ↔
 //! [`RunReport`](mis_runner::RunReport) via
@@ -134,9 +145,9 @@ pub mod baselines {
 /// One-stop imports for applications and examples.
 pub mod prelude {
     pub use congest_sim::{
-        run_auto, run_auto_observed, run_parallel, run_parallel_with_scratch, AdversarySchedule,
-        ChannelModel, EnergyHistogram, EngineProbes, EngineStats, Metrics, ParScratch, RoundEvent,
-        RoundLog, RoundObserver, SimConfig, SleepWindow, Telemetry,
+        run, run_with, AdversarySchedule, ChannelModel, EnergyHistogram, EngineProbes,
+        EngineScratch, EngineStats, Metrics, RoundEvent, RoundLog, RoundObserver, SimConfig,
+        SleepWindow, Telemetry,
     };
     pub use energy_mis::alg1::{run_algorithm1_observed, run_algorithm1_with};
     pub use energy_mis::alg2::{run_algorithm2_observed, run_algorithm2_with};

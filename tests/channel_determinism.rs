@@ -9,8 +9,7 @@
 //! fingerprint recorded before the layer existed still holds).
 
 use congest_sim::{
-    run_auto_observed, ChannelModel, Inbox, InitApi, NodeId, Protocol, RecvApi, RoundLog, SendApi,
-    SimConfig,
+    run_with, ChannelModel, Inbox, InitApi, NodeId, Protocol, RecvApi, RoundLog, SendApi, SimConfig,
 };
 use distributed_mis::prelude::*;
 use proptest::prelude::*;
@@ -51,7 +50,8 @@ impl Protocol for Gossip {
 /// One observed run: (metrics, final states, full round log).
 fn observed(g: &Graph, cfg: &SimConfig) -> (Metrics, Vec<u64>, RoundLog) {
     let mut log = RoundLog::default();
-    let res = run_auto_observed(g, &Gossip { rounds: 6 }, cfg, &mut log).expect("run");
+    let mut scratch = EngineScratch::new(g);
+    let res = run_with(g, &Gossip { rounds: 6 }, cfg, &mut scratch, Some(&mut log)).expect("run");
     (res.metrics, res.states, log)
 }
 

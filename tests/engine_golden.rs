@@ -8,13 +8,14 @@
 //! accounting, message accounting, per-node energy, or the computed MIS
 //! fails this test.
 //!
-//! Since the sharded parallel engine landed, every workload additionally
-//! runs at several thread counts (`run_parallel` through the
-//! `SimConfig::threads` dispatch) and must reproduce the *same* recorded
+//! Every workload additionally runs at several thread counts
+//! (`SimConfig::threads`, the number of shards the engine's one round
+//! loop is split into) and must reproduce the *same* recorded
 //! fingerprints: thread count is a pure performance knob, never an
-//! observable. The sweep defaults to sequential plus 1/2/4/8 workers and
-//! can be overridden with `PAR_THREADS=1,2,4` (0 = sequential engine),
-//! which is how CI pins the contract in a dedicated job.
+//! observable. The sweep defaults to 0 (one shard, the sequential
+//! engine) plus 1/2/4/8 workers and can be overridden with
+//! `PAR_THREADS=1,2,4`, which is how CI pins the contract in a dedicated
+//! job.
 
 use congest_sim::{AdversarySchedule, ChannelModel, Metrics, SimConfig, SleepWindow};
 use energy_mis::params::{Alg1Params, Alg2Params};
@@ -25,8 +26,8 @@ use mis_runner::{incremental, run_churn_on, RunConfig, WorkloadSpec};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Thread counts every golden workload is replayed at; `0` is the
-/// sequential engine, `k >= 1` the parallel engine with `k` shards.
+/// Thread counts every golden workload is replayed at; `0` and `1` run
+/// one shard (the sequential engine), `k >= 2` runs `k` shards.
 fn thread_counts() -> Vec<usize> {
     match std::env::var("PAR_THREADS") {
         Ok(list) => list

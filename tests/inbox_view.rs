@@ -11,8 +11,7 @@
 //! `count` / `is_empty` / `first` accessors with its iteration.
 
 use congest_sim::{
-    run_auto, run_with_scratch, EngineScratch, Inbox, InitApi, NodeId, Protocol, RecvApi, SendApi,
-    SimConfig,
+    run, run_with, EngineScratch, Inbox, InitApi, NodeId, Protocol, RecvApi, SendApi, SimConfig,
 };
 use mis_graphs::{generators, Graph};
 use proptest::prelude::*;
@@ -111,7 +110,7 @@ fn model_inbox(g: &Graph, v: NodeId, r: u64) -> Vec<(u64, NodeId, u64)> {
 
 fn check_graph(g: &Graph, threads: usize) {
     let cfg = SimConfig::seeded(1).with_threads(threads);
-    let res = run_auto(g, &Recorder, &cfg).unwrap();
+    let res = run(g, &Recorder, &cfg).unwrap();
     for v in g.nodes() {
         let expected: Trace = (0..ROUNDS)
             .filter(|&r| awake(v, r))
@@ -162,19 +161,20 @@ proptest! {
 
 /// The scratch no longer carries a per-node inbox buffer — delivery
 /// borrows from the round's payload arena in place. `FIXED_BUFFERS`
-/// pins the buffer count (the slice-era scratch had one more), and the
+/// pins the per-shard buffer count (the slice-era scratch held the inbox
+/// buffer where a shard now holds its cross-shard out stamps), and the
 /// capacity signature proves reuse still allocates nothing in steady
 /// state even for this broadcast-heavy recorder.
 #[test]
 fn scratch_has_no_inbox_buffer_and_reuse_is_allocation_free() {
-    assert_eq!(EngineScratch::FIXED_BUFFERS, 6);
+    assert_eq!(EngineScratch::FIXED_BUFFERS, 7);
     let mut rng = SmallRng::seed_from_u64(9);
     let g = generators::gnp(256, 12.0 / 256.0, &mut rng);
     let cfg = SimConfig::seeded(4);
     let mut scratch = EngineScratch::new(&g);
-    let first = run_with_scratch(&g, &Recorder, &cfg, &mut scratch).unwrap();
+    let first = run_with(&g, &Recorder, &cfg, &mut scratch, None).unwrap();
     let warm = scratch.capacity_signature();
-    let second = run_with_scratch(&g, &Recorder, &cfg, &mut scratch).unwrap();
+    let second = run_with(&g, &Recorder, &cfg, &mut scratch, None).unwrap();
     assert_eq!(
         warm,
         scratch.capacity_signature(),

@@ -4,9 +4,9 @@
 //! For random `G(n, p)` and random `d`-regular graphs, Luby and both of
 //! the paper's algorithms must produce identical `Metrics` and identical
 //! final states (MIS membership) at 2 and 4 worker threads as they do
-//! sequentially — the determinism-across-thread-counts contract of
-//! `congest_sim::par`, probed across the input space rather than only on
-//! the recorded golden workloads.
+//! sequentially — the engine's determinism-across-thread-counts
+//! contract, probed across the input space rather than only on the
+//! recorded golden workloads.
 
 use congest_sim::{RoundLog, SimConfig};
 use energy_mis::params::{Alg1Params, Alg2Params};

@@ -7,7 +7,7 @@
 //! all and the engine's steady-state allocation profile is untouched.
 
 use congest_sim::{
-    run_with_scratch, EngineScratch, Inbox, InitApi, NodeId, Protocol, RecvApi, SendApi, SimConfig,
+    run_with, EngineScratch, Inbox, InitApi, NodeId, Protocol, RecvApi, SendApi, SimConfig,
 };
 use distributed_mis::prelude::*;
 use mis_runner::registry;
@@ -168,9 +168,9 @@ fn probe_counting_is_allocation_free_in_steady_state() {
         .build();
     let cfg = SimConfig::seeded(5);
     let mut scratch = EngineScratch::new(&g);
-    let first = run_with_scratch(&g, &Ping, &cfg, &mut scratch).unwrap();
+    let first = run_with(&g, &Ping, &cfg, &mut scratch, None).unwrap();
     let warm = scratch.capacity_signature();
-    let second = run_with_scratch(&g, &Ping, &cfg, &mut scratch).unwrap();
+    let second = run_with(&g, &Ping, &cfg, &mut scratch, None).unwrap();
     assert_eq!(
         warm,
         scratch.capacity_signature(),

@@ -56,6 +56,17 @@
 //! run, or once across many runs via [`run_with`] (which is how a
 //! [`crate::Pipeline`] shares one scratch across its phases). The arena
 //! is per run and reused round over round.
+//!
+//! # What a run's entry costs
+//!
+//! A run calls [`Protocol::init`] once per node, and that is the only
+//! per-node work before round 0. A node's RNG is a pure function of
+//! `(seed, salt, node)` ([`crate::rng::derive`]), so the engine derives
+//! it at the node's first draw — the first `rng()` call of its `init`,
+//! `send` or `recv` — into a reusable slot guarded by a per-run bitset.
+//! A run whose nodes mostly sleep, like the Phase III tail on a shattered
+//! graph, therefore pays O(n) `init` calls plus one derivation per node
+//! that draws, counted by [`crate::EngineProbes::rngs_derived`].
 
 use crate::bits::NodeBits;
 use crate::channel::{ChannelModel, FaultPlan};
@@ -64,7 +75,7 @@ use crate::message::Message;
 use crate::metrics::Metrics;
 use crate::observer::RoundObserver;
 use crate::par::partition::ShardPlan;
-use crate::par::shard::{run_shard, Events, ShardScratch};
+use crate::par::shard::{run_shard, Events, NodeRngs, ShardScratch};
 use crate::telemetry::EngineStats;
 use crate::{NodeId, Round};
 use mis_graphs::{EdgeId, Graph};
@@ -476,7 +487,7 @@ pub struct SimResult<S> {
 pub struct InitApi<'a> {
     node: NodeId,
     graph: &'a Graph,
-    rng: &'a mut SmallRng,
+    rngs: &'a mut NodeRngs,
     wakes: &'a mut Vec<Round>,
 }
 
@@ -485,13 +496,13 @@ impl<'a> InitApi<'a> {
     pub(crate) fn new(
         node: NodeId,
         graph: &'a Graph,
-        rng: &'a mut SmallRng,
+        rngs: &'a mut NodeRngs,
         wakes: &'a mut Vec<Round>,
     ) -> InitApi<'a> {
         InitApi {
             node,
             graph,
-            rng,
+            rngs,
             wakes,
         }
     }
@@ -523,9 +534,10 @@ impl<'a> InitApi<'a> {
         self.graph.neighbor_rank(self.node, u)
     }
 
-    /// The node's deterministic RNG.
+    /// The node's deterministic RNG, derived from `(seed, salt, node)`
+    /// on the node's first draw of the run.
     pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
+        self.rngs.get(self.node)
     }
 
     /// Schedules this node to be awake in `round`.
@@ -657,7 +669,7 @@ pub struct SendApi<'a, M: Message> {
     node: NodeId,
     round: Round,
     graph: &'a Graph,
-    rng: &'a mut SmallRng,
+    rngs: &'a mut NodeRngs,
     /// Tick of the current round; an edge whose claim word carries it
     /// was already sent on this round.
     tick: u32,
@@ -685,7 +697,7 @@ impl<'a, M: Message> SendApi<'a, M> {
         node: NodeId,
         round: Round,
         graph: &'a Graph,
-        rng: &'a mut SmallRng,
+        rngs: &'a mut NodeRngs,
         tick: u32,
         sink: Sink<'a, M>,
         all_awake: bool,
@@ -697,7 +709,7 @@ impl<'a, M: Message> SendApi<'a, M> {
             node,
             round,
             graph,
-            rng,
+            rngs,
             tick,
             sink,
             all_awake,
@@ -745,9 +757,10 @@ impl<'a, M: Message> SendApi<'a, M> {
         self.graph.neighbor_rank(self.node, u)
     }
 
-    /// The node's deterministic RNG.
+    /// The node's deterministic RNG, derived from `(seed, salt, node)`
+    /// on the node's first draw of the run.
     pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
+        self.rngs.get(self.node)
     }
 
     /// Sends `msg` to the neighbor at position `rank` of this node's
@@ -974,7 +987,7 @@ pub struct RecvApi<'a> {
     node: NodeId,
     round: Round,
     graph: &'a Graph,
-    rng: &'a mut SmallRng,
+    rngs: &'a mut NodeRngs,
     wakes: &'a mut Vec<Round>,
     halt: &'a mut bool,
 }
@@ -985,7 +998,7 @@ impl<'a> RecvApi<'a> {
         node: NodeId,
         round: Round,
         graph: &'a Graph,
-        rng: &'a mut SmallRng,
+        rngs: &'a mut NodeRngs,
         wakes: &'a mut Vec<Round>,
         halt: &'a mut bool,
     ) -> RecvApi<'a> {
@@ -993,7 +1006,7 @@ impl<'a> RecvApi<'a> {
             node,
             round,
             graph,
-            rng,
+            rngs,
             wakes,
             halt,
         }
@@ -1029,9 +1042,10 @@ impl<'a> RecvApi<'a> {
         self.graph.neighbor_rank(self.node, u)
     }
 
-    /// The node's deterministic RNG.
+    /// The node's deterministic RNG, derived from `(seed, salt, node)`
+    /// on the node's first draw of the run.
     pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
+        self.rngs.get(self.node)
     }
 
     /// Schedules this node to be awake in `round` (must be in the future).
@@ -1082,11 +1096,11 @@ impl<'a> RecvApi<'a> {
 /// [`SimConfig::threads`].
 ///
 /// The steady-state round loop allocates nothing: per shard, the wake
-/// buckets, RNGs, halted and awake bits, active and wake lists, and
-/// per-edge claim words all live here and are recycled round over round,
-/// and run over run with [`run_with`]. There is **no inbox buffer**:
-/// receivers borrow payloads in place from the round's arena through the
-/// [`Inbox`] view.
+/// buckets, RNG slots and their derived bits, halted and awake bits,
+/// active and wake lists, and per-edge claim words all live here and are
+/// recycled round over round, and run over run with [`run_with`]. There
+/// is **no inbox buffer**: receivers borrow payloads in place from the
+/// round's arena through the [`Inbox`] view.
 ///
 /// The scratch has no message type. Claim words hold a round tick and an
 /// arena index, never a payload, so runs whose protocols use different
@@ -1173,8 +1187,8 @@ impl EngineScratch {
     /// workspace forbids `unsafe`, so a counting `GlobalAlloc` is not an
     /// option).
     ///
-    /// The fixed order is, per shard: RNGs, halted words, awake words,
-    /// active list, wake list, claim words, out stamps
+    /// The fixed order is, per shard: RNGs, derived-RNG words, halted
+    /// words, awake words, active list, wake list, claim words, out stamps
     /// ([`EngineScratch::FIXED_BUFFERS`] entries), then the shard's
     /// scheduler buffers; after the last shard, the shard list and the
     /// plan's buffers. (The pre-zero-copy engine had one more per shard:

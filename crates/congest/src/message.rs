@@ -65,6 +65,10 @@ impl<T: Message> Message for Option<T> {
 /// independent executions of a 1-bit algorithm fit in one `O(log n)`-bit
 /// message).
 ///
+/// Widths up to 128 bits are stored inline, so creating, cloning and
+/// dropping such a vector never touches the heap; wider vectors keep
+/// their words in one heap allocation. Either way the value is 32 bytes.
+///
 /// # Example
 ///
 /// ```
@@ -80,15 +84,46 @@ impl<T: Message> Message for Option<T> {
 #[derive(Clone, PartialEq, Eq)]
 pub struct PackedBits {
     width: usize,
-    words: Vec<u64>,
+    /// Bits past `width` are always zero, so the derived `Eq` compares
+    /// exactly the vector's bits.
+    words: Words,
 }
+
+/// The words of a [`PackedBits`]; which variant is a function of the
+/// width alone.
+#[derive(Clone, PartialEq, Eq)]
+enum Words {
+    /// Widths up to [`INLINE_BITS`].
+    Inline([u64; 2]),
+    /// Wider vectors: `width.div_ceil(64)` words.
+    Heap(Box<[u64]>),
+}
+
+/// The widest [`PackedBits`] kept without a heap allocation.
+const INLINE_BITS: usize = 128;
 
 impl PackedBits {
     /// Creates an all-zero bit vector of the given width.
     pub fn new(width: usize) -> PackedBits {
-        PackedBits {
-            width,
-            words: vec![0; width.div_ceil(64)],
+        let words = if width <= INLINE_BITS {
+            Words::Inline([0; 2])
+        } else {
+            Words::Heap(vec![0; width.div_ceil(64)].into_boxed_slice())
+        };
+        PackedBits { width, words }
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
         }
     }
 
@@ -104,7 +139,7 @@ impl PackedBits {
     /// Panics if `i >= width`.
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.width, "bit index {i} out of range {}", self.width);
-        self.words[i / 64] >> (i % 64) & 1 == 1
+        self.words()[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Writes bit `i`.
@@ -114,16 +149,17 @@ impl PackedBits {
     /// Panics if `i >= width`.
     pub fn set(&mut self, i: usize, value: bool) {
         assert!(i < self.width, "bit index {i} out of range {}", self.width);
+        let word = &mut self.words_mut()[i / 64];
         if value {
-            self.words[i / 64] |= 1 << (i % 64);
+            *word |= 1 << (i % 64);
         } else {
-            self.words[i / 64] &= !(1 << (i % 64));
+            *word &= !(1 << (i % 64));
         }
     }
 
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Bitwise AND with another vector of the same width.
@@ -133,7 +169,7 @@ impl PackedBits {
     /// Panics if widths differ.
     pub fn and_assign(&mut self, other: &PackedBits) {
         assert_eq!(self.width, other.width, "width mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= b;
         }
     }
@@ -145,27 +181,27 @@ impl PackedBits {
     /// Panics if widths differ.
     pub fn or_assign(&mut self, other: &PackedBits) {
         assert_eq!(self.width, other.width, "width mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a |= b;
         }
     }
 
     /// Index of the lowest set bit, if any.
     pub fn first_one(&self) -> Option<usize> {
-        for (w, word) in self.words.iter().enumerate() {
-            if *word != 0 {
-                let i = w * 64 + word.trailing_zeros() as usize;
-                return (i < self.width).then_some(i);
-            }
-        }
-        None
+        let (w, word) = self.words().iter().enumerate().find(|(_, w)| **w != 0)?;
+        Some(w * 64 + word.trailing_zeros() as usize)
     }
 
     /// An all-ones vector of the given width.
     pub fn ones(width: usize) -> PackedBits {
         let mut b = PackedBits::new(width);
-        for i in 0..width {
-            b.set(i, true);
+        for (w, word) in b.words_mut().iter_mut().enumerate() {
+            let live = width.saturating_sub(w * 64);
+            *word = if live >= 64 {
+                u64::MAX
+            } else {
+                (1 << live) - 1
+            };
         }
         b
     }
@@ -252,6 +288,84 @@ mod tests {
         assert_eq!(PackedBits::ones(9).count_ones(), 9);
         assert_eq!(PackedBits::new(0).first_one(), None);
         assert_eq!(PackedBits::new(64).first_one(), None);
+    }
+
+    /// Every operation agrees with a `Vec<bool>` model, at inline and heap
+    /// widths and around each word boundary; vectors that reach the same
+    /// bits by different operations are equal, so no operation leaves a
+    /// stale bit past the width.
+    #[test]
+    fn packed_bits_match_a_bool_vector_model() {
+        fn check(b: &PackedBits, model: &[bool]) {
+            let width = model.len();
+            assert_eq!((b.width(), b.bits()), (width, width));
+            for (i, &m) in model.iter().enumerate() {
+                assert_eq!(b.get(i), m, "bit {i} of {width}");
+            }
+            assert_eq!(b.count_ones(), model.iter().filter(|&&m| m).count());
+            assert_eq!(b.first_one(), model.iter().position(|&m| m));
+            let text: String = model.iter().map(|&m| if m { '1' } else { '0' }).collect();
+            assert_eq!(format!("{b:?}"), format!("PackedBits[{text}]"));
+        }
+        fn from_model(model: &[bool]) -> PackedBits {
+            let mut b = PackedBits::new(model.len());
+            for (i, &m) in model.iter().enumerate() {
+                if m {
+                    b.set(i, true);
+                }
+            }
+            b
+        }
+        assert!(std::mem::size_of::<PackedBits>() <= 32);
+        let mut draws = 0u64;
+        let mut coin = || {
+            draws += 1;
+            crate::rng::splitmix64(draws) & 1 == 1
+        };
+        for width in [0, 1, 63, 64, 65, 127, 128, 129, 200] {
+            let zeros = vec![false; width];
+            let ones = vec![true; width];
+            check(&PackedBits::new(width), &zeros);
+            check(&PackedBits::ones(width), &ones);
+            assert_eq!(PackedBits::ones(width), from_model(&ones), "width {width}");
+            assert_ne!(PackedBits::new(width), PackedBits::new(width + 1));
+
+            let a: Vec<bool> = (0..width).map(|_| coin()).collect();
+            let b: Vec<bool> = (0..width).map(|_| coin()).collect();
+            let (pa, pb) = (from_model(&a), from_model(&b));
+            check(&pa, &a);
+            // Clearing bits of an all-ones vector reaches the same value
+            // as setting bits of an all-zero one.
+            let mut down = PackedBits::ones(width);
+            for (i, &m) in a.iter().enumerate() {
+                down.set(i, m);
+            }
+            check(&down, &a);
+            assert_eq!(down, pa, "width {width}");
+
+            let and: Vec<bool> = a.iter().zip(&b).map(|(x, y)| x & y).collect();
+            let mut pand = pa.clone();
+            pand.and_assign(&pb);
+            check(&pand, &and);
+            assert_eq!(pand, from_model(&and), "width {width}");
+            let or: Vec<bool> = a.iter().zip(&b).map(|(x, y)| x | y).collect();
+            let mut por = pa.clone();
+            por.or_assign(&pb);
+            check(&por, &or);
+            assert_eq!(por, from_model(&or), "width {width}");
+
+            let mut masked = PackedBits::ones(width);
+            masked.and_assign(&pa);
+            assert_eq!(masked, pa, "width {width}");
+            let mut full = pa.clone();
+            full.or_assign(&PackedBits::ones(width));
+            assert_eq!(full, PackedBits::ones(width), "width {width}");
+            for (i, &m) in a.iter().enumerate() {
+                let mut flipped = pa.clone();
+                flipped.set(i, !m);
+                assert_ne!(flipped, pa, "bit {i} of {width}");
+            }
+        }
     }
 
     #[test]

@@ -46,8 +46,9 @@ pub struct Metrics {
     /// limit is enforced strictly or no limit was set).
     pub bandwidth_violations: u64,
     /// Deterministic engine-internal probe counters (scheduler traffic,
-    /// wakeup dedups, fault injections); like every other field, a pure
-    /// function of the run, bit-identical across thread counts.
+    /// wakeup dedups, fault injections, RNG derivations); like every
+    /// other field, a pure function of the run, bit-identical across
+    /// thread counts.
     pub probes: EngineProbes,
 }
 

@@ -647,6 +647,101 @@ mod tests {
         }
     }
 
+    /// Node RNGs are derived at a node's first draw, wherever that is: in
+    /// `init`, in a later send half, only in receive halves, or never.
+    /// Each drawing node must see exactly its `rng::derive(seed, salt, v)`
+    /// stream at every shard count, and a reused scratch must carry no
+    /// stream into the next run — after a clean run with another salt and
+    /// other drawing nodes, and after a run aborted by a protocol panic.
+    #[test]
+    fn lazy_rngs_are_exact_across_reuse_and_aborts() {
+        /// Node `v` draws by class `(v + shift) % 4`: 0 in `init` and every
+        /// send half, 1 in send halves from round 1 on, 2 in every receive
+        /// half, 3 never. Each draw is recorded in the state.
+        struct Draws {
+            shift: u32,
+            /// Node 0 panics in round 1's receive half.
+            panic: bool,
+        }
+        impl Draws {
+            fn class(&self, v: NodeId) -> u32 {
+                (v + self.shift) % 4
+            }
+            /// Draws a node of `class` makes in a three-round run.
+            fn expected(class: u32) -> usize {
+                [4, 2, 3, 0][class as usize]
+            }
+        }
+        impl Protocol for Draws {
+            type State = Vec<u64>;
+            type Msg = ();
+            fn init(&self, node: NodeId, api: &mut InitApi<'_>) -> Vec<u64> {
+                api.wake_range(0..3);
+                match self.class(node) {
+                    0 => vec![api.rng().gen()],
+                    _ => Vec::new(),
+                }
+            }
+            fn send(&self, drawn: &mut Vec<u64>, api: &mut SendApi<'_, ()>) {
+                let class = self.class(api.node());
+                if class == 0 || (class == 1 && api.round() >= 1) {
+                    drawn.push(api.rng().gen());
+                }
+                api.broadcast(());
+            }
+            fn recv(&self, drawn: &mut Vec<u64>, _inbox: Inbox<'_, ()>, api: &mut RecvApi<'_>) {
+                if self.class(api.node()) == 2 {
+                    drawn.push(api.rng().gen());
+                }
+                assert!(
+                    !(self.panic && api.round() == 1 && api.node() == 0),
+                    "boom in round 1"
+                );
+            }
+        }
+        fn check(res: &SimResult<Vec<u64>>, p: &Draws, cfg: &SimConfig, what: &str) {
+            let mut drawing = 0;
+            for (v, drawn) in res.states.iter().enumerate() {
+                let v = v as NodeId;
+                let mut rng = crate::rng::derive(cfg.seed, cfg.salt, v);
+                let stream: Vec<u64> = (0..Draws::expected(p.class(v)))
+                    .map(|_| rng.gen())
+                    .collect();
+                assert_eq!(*drawn, stream, "{what}: node {v}");
+                drawing += u64::from(!stream.is_empty());
+            }
+            assert_eq!(res.metrics.probes.rngs_derived, drawing, "{what}");
+        }
+        let g = generators::grid2d(5, 6);
+        for threads in [0, 1, 2, 4] {
+            let cfg = SimConfig::seeded(17).with_threads(threads);
+            let step = |scratch: &mut EngineScratch, shift: u32, salt: u64, what: &str| {
+                let p = Draws {
+                    shift,
+                    panic: false,
+                };
+                let cfg = cfg.with_salt(salt);
+                let res = run_with(&g, &p, &cfg, scratch, None).unwrap();
+                check(&res, &p, &cfg, &format!("threads {threads}, {what}"));
+                res.metrics
+            };
+            let mut scratch = EngineScratch::new(&g);
+            let first = step(&mut scratch, 0, 1, "first run");
+            step(&mut scratch, 1, 2, "second run");
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let p = Draws {
+                    shift: 2,
+                    panic: true,
+                };
+                run_with(&g, &p, &cfg.with_salt(3), &mut scratch, None)
+            }));
+            assert!(caught.is_err(), "threads {threads}: panic swallowed");
+            step(&mut scratch, 3, 4, "run after a panic");
+            let again = step(&mut scratch, 0, 1, "rerun of the first");
+            assert_eq!(again, first, "threads {threads}");
+        }
+    }
+
     /// Sending twice to a neighbor that sleeps this round is still a
     /// duplicate destination, though neither payload is delivered: by
     /// two rank sends, or by a broadcast and then an id send, to a

@@ -63,8 +63,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 #[derive(Debug)]
 pub(crate) struct ShardScratch {
     sched: BucketScheduler,
-    /// RNGs of this shard's nodes, re-derived in place per run.
-    rngs: Vec<SmallRng>,
+    /// RNGs of this shard's nodes, each derived on its node's first draw
+    /// of a run.
+    rngs: NodeRngs,
     /// Busy-round counter, carried across runs, so stale claim words
     /// from earlier rounds (or earlier runs) can never match. Only this
     /// shard's own `claims` and `out_stamp` are compared against it
@@ -98,7 +99,7 @@ impl ShardScratch {
     pub(crate) fn new() -> ShardScratch {
         ShardScratch {
             sched: BucketScheduler::new(),
-            rngs: Vec::new(),
+            rngs: NodeRngs::new(),
             tick: 0,
             halted: NodeBits::new(),
             awake: NodeBits::new(),
@@ -114,8 +115,10 @@ impl ShardScratch {
     /// untouched: no payload outlives its round, so there is nothing to
     /// wipe.
     pub(crate) fn fit_to(&mut self, plan: &ShardPlan, shard: usize) {
-        let local_n = plan.nodes(shard).len();
+        let nodes = plan.nodes(shard);
+        let local_n = nodes.len();
         let local_slots = plan.slots(shard).len();
+        self.rngs.fit(nodes.start, local_n);
         self.halted.fit(local_n);
         self.awake.fit(local_n);
         fit_claims(&mut self.claims, local_slots);
@@ -136,11 +139,11 @@ impl ShardScratch {
     }
 
     /// Buffer capacities for the allocation oracle. Fixed order: RNGs,
-    /// halted words, awake words, active list, wake list, claim words,
-    /// out stamps — [`ShardScratch::FIXED_BUFFERS`] entries — then the
-    /// scheduler's buffers.
+    /// derived-RNG words, halted words, awake words, active list, wake
+    /// list, claim words, out stamps — [`ShardScratch::FIXED_BUFFERS`]
+    /// entries — then the scheduler's buffers.
     pub(crate) fn capacity_signature(&self, out: &mut Vec<usize>) {
-        out.push(self.rngs.capacity());
+        self.rngs.capacity_signature(out);
         self.halted.capacity_signature(out);
         self.awake.capacity_signature(out);
         out.extend([
@@ -156,7 +159,86 @@ impl ShardScratch {
     /// [`ShardScratch::capacity_signature`]; pinned by tests so a retired
     /// buffer (the per-node inbox of the slice-era engine) cannot
     /// silently come back.
-    pub(crate) const FIXED_BUFFERS: usize = 7;
+    pub(crate) const FIXED_BUFFERS: usize = 8;
+}
+
+/// The RNGs of one shard's nodes in one run.
+///
+/// A node's stream is a pure function of `(seed, salt, node)`, so it
+/// need not exist before the node first draws: [`NodeRngs::get`] derives
+/// it then, and a node that never draws costs no derivation. A run's
+/// entry therefore pays one bitset clear, not one derivation per node.
+#[derive(Debug)]
+pub(crate) struct NodeRngs {
+    /// Slot `v - base` holds node `v`'s RNG while its `derived` bit is
+    /// set. Slots only grow, so later runs reuse them.
+    slots: Vec<SmallRng>,
+    /// Bit `v - base` set iff node `v` has drawn in this run.
+    derived: NodeBits,
+    /// First node of the shard.
+    base: NodeId,
+    seed: u64,
+    salt: u64,
+    /// Derivations in this run: the `rngs_derived` probe.
+    count: u64,
+}
+
+impl NodeRngs {
+    fn new() -> NodeRngs {
+        NodeRngs {
+            slots: Vec::new(),
+            derived: NodeBits::new(),
+            base: 0,
+            seed: 0,
+            salt: 0,
+            count: 0,
+        }
+    }
+
+    /// Covers nodes `base..base + n`, none of them derived. Reserves the
+    /// slots in one allocation, untouched until a node draws, so lazy
+    /// derivation never reallocates.
+    fn fit(&mut self, base: NodeId, n: usize) {
+        self.slots.reserve_exact(n.saturating_sub(self.slots.len()));
+        self.derived.fit(n);
+        self.base = base;
+        self.count = 0;
+    }
+
+    /// Sets the run's `(seed, salt)`; call after [`NodeRngs::fit`].
+    fn key(&mut self, seed: u64, salt: u64) {
+        self.seed = seed;
+        self.salt = salt;
+    }
+
+    /// Node `v`'s RNG, derived from `(seed, salt, v)` on its first draw
+    /// of the run.
+    #[inline]
+    pub(crate) fn get(&mut self, v: NodeId) -> &mut SmallRng {
+        let i = (v - self.base) as usize;
+        if !self.derived.get(i) {
+            self.derive(i, v);
+        }
+        &mut self.slots[i]
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn derive(&mut self, i: usize, v: NodeId) {
+        let fresh = rng::derive(self.seed, self.salt, v);
+        if i < self.slots.len() {
+            self.slots[i] = fresh;
+        } else {
+            self.slots.resize(i + 1, fresh);
+        }
+        self.derived.set(i);
+        self.count += 1;
+    }
+
+    fn capacity_signature(&self, out: &mut Vec<usize>) {
+        out.push(self.slots.capacity());
+        self.derived.capacity_signature(out);
+    }
 }
 
 /// How a shard of a `k ≥ 2` run reaches the other shards: the round
@@ -246,10 +328,7 @@ pub(crate) fn run_shard<P: Protocol, const LINKED: bool>(
     let faults = FaultPlan::new(cfg);
 
     scratch.fit_to(plan, shard);
-    scratch.rngs.clear();
-    scratch
-        .rngs
-        .extend(nodes.clone().map(|v| rng::derive(cfg.seed, cfg.salt, v)));
+    scratch.rngs.key(cfg.seed, cfg.salt);
     let ShardScratch {
         sched,
         rngs,
@@ -291,8 +370,7 @@ pub(crate) fn run_shard<P: Protocol, const LINKED: bool>(
     // Initialization: free local pre-computation, may request wakeups.
     for v in nodes.clone() {
         wakes.clear();
-        let li = (v - node_base) as usize;
-        let mut api = InitApi::new(v, graph, &mut rngs[li], wakes);
+        let mut api = InitApi::new(v, graph, rngs, wakes);
         match guarded::<LINKED, _>(|| protocol.init(v, &mut api)) {
             Ok(state) => states.push(state),
             Err(p) => {
@@ -464,16 +542,7 @@ pub(crate) fn run_shard<P: Protocol, const LINKED: bool>(
                     }),
                 };
                 let mut api = SendApi::new(
-                    v,
-                    round,
-                    graph,
-                    &mut rngs[li],
-                    stamp,
-                    sink,
-                    all_awake,
-                    faults,
-                    cfg,
-                    &mut error,
+                    v, round, graph, rngs, stamp, sink, all_awake, faults, cfg, &mut error,
                 );
                 if let Err(p) = guarded::<LINKED, _>(|| protocol.send(&mut states[li], &mut api)) {
                     panic = Some(p);
@@ -599,7 +668,7 @@ pub(crate) fn run_shard<P: Protocol, const LINKED: bool>(
                 );
                 wakes.clear();
                 let mut halt = false;
-                let mut api = RecvApi::new(v, round, graph, &mut rngs[li], wakes, &mut halt);
+                let mut api = RecvApi::new(v, round, graph, rngs, wakes, &mut halt);
                 let received =
                     guarded::<LINKED, _>(|| protocol.recv(&mut states[li], inbox, &mut api));
                 if let Err(p) = received {
@@ -664,6 +733,8 @@ pub(crate) fn run_shard<P: Protocol, const LINKED: bool>(
     let sched_stats = sched.stats();
     metrics.probes.wakeups_scheduled = sched_stats.scheduled;
     metrics.probes.sched_spills = sched_stats.spilled;
+    // Each node derives at most once per run, whichever shard owns it.
+    metrics.probes.rngs_derived = rngs.count;
     stats.peak_bucket = sched_stats.peak_bucket;
     ShardOutcome {
         states,

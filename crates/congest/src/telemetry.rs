@@ -6,10 +6,11 @@
 //! view is not enough on its own. This module adds three layers:
 //!
 //! 1. **Probes** ([`EngineProbes`]): engine-internal counters (scheduler
-//!    occupancy, overflow spills, wakeup dedups, fault injections) that
-//!    are pure functions of the run — bit-identical across every thread
-//!    count, safe to fingerprint, and carried inside [`crate::Metrics`]
-//!    so every existing equality test strengthens automatically.
+//!    occupancy, overflow spills, wakeup dedups, fault injections, RNG
+//!    derivations) that are pure functions of the run — bit-identical
+//!    across every thread count, safe to fingerprint, and carried inside
+//!    [`crate::Metrics`] so every existing equality test strengthens
+//!    automatically.
 //! 2. **Per-configuration stats** ([`EngineStats`]): quantities that
 //!    legitimately depend on the engine configuration (shard count,
 //!    cut-edge exchange volume, mailbox swaps, peak scheduler bucket).
@@ -56,6 +57,10 @@ pub struct EngineProbes {
     pub crash_halts: u64,
     /// Scheduled wakeups consumed by an adversarial forced-sleep fault.
     pub forced_sleeps: u64,
+    /// Node RNGs derived from `(seed, salt, node)`: one per node that
+    /// draws in a run, at its first draw. Nodes that never draw cost
+    /// none.
+    pub rngs_derived: u64,
 }
 
 impl EngineProbes {
@@ -66,16 +71,18 @@ impl EngineProbes {
         self.wakeups_deduped += other.wakeups_deduped;
         self.crash_halts += other.crash_halts;
         self.forced_sleeps += other.forced_sleeps;
+        self.rngs_derived += other.rngs_derived;
     }
 
     /// The probes as stable `(name, value)` pairs, in export order.
-    pub fn counters(&self) -> [(&'static str, u64); 5] {
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
         [
             ("wakeups_scheduled", self.wakeups_scheduled),
             ("sched_spills", self.sched_spills),
             ("wakeups_deduped", self.wakeups_deduped),
             ("crash_halts", self.crash_halts),
             ("forced_sleeps", self.forced_sleeps),
+            ("rngs_derived", self.rngs_derived),
         ]
     }
 }
@@ -335,6 +342,7 @@ mod tests {
             wakeups_deduped: 3,
             crash_halts: 4,
             forced_sleeps: 5,
+            rngs_derived: 6,
         };
         a.absorb(&a.clone());
         assert_eq!(a.wakeups_scheduled, 2);
@@ -342,7 +350,8 @@ mod tests {
         assert_eq!(a.wakeups_deduped, 6);
         assert_eq!(a.crash_halts, 8);
         assert_eq!(a.forced_sleeps, 10);
-        assert_eq!(a.counters().len(), 5);
+        assert_eq!(a.rngs_derived, 12);
+        assert_eq!(a.counters().len(), 6);
     }
 
     #[test]

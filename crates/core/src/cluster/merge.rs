@@ -159,11 +159,7 @@ type ChosenEdge = (u32, (u32, u32));
 /// the paper keeps at cluster roots).
 #[derive(Debug, Clone)]
 struct ClusterInfo {
-    #[allow(dead_code, reason = "kept for debugging and future inspection")]
-    chosen: Option<ChosenEdge>,
     reciprocal: bool,
-    #[allow(dead_code, reason = "kept for debugging and future inspection")]
-    indegree_excl_m: u32,
     is_high: bool,
     eh_leaf: bool,
     hl_in: Vec<u32>,
@@ -374,10 +370,9 @@ fn merge_iteration(
         }
     }
     for v in 0..n {
-        for &(src, src_c) in &incoming[v] {
+        for &(src, _) in &incoming[v] {
             let mine = forest.cluster[v];
             sends_b[v].push((src, (mine, flags_of(mine))));
-            let _ = src_c;
             edge_listen[src as usize] = true;
         }
     }
@@ -399,19 +394,16 @@ fn merge_iteration(
     // ---- Step 7: assemble per-cluster knowledge (HL adjacency). ----
     let mut info: std::collections::BTreeMap<u32, ClusterInfo> = std::collections::BTreeMap::new();
     for r in forest.roots() {
-        let chosen = chosen_by_cluster.get(&r).copied();
         let m = reciprocal.contains(&r);
         let high = is_high[&r];
-        let out_target = chosen.map(|(t, _)| t);
+        let out_target = chosen_by_cluster.get(&r).map(|&(t, _)| t);
         let eh_leaf = !high && !m && out_target.is_some_and(|t| is_high[&t]);
         let hl_out =
             (!high && !m && out_target.is_some_and(|t| !is_high[&t])).then(|| out_target.unwrap());
         info.insert(
             r,
             ClusterInfo {
-                chosen,
                 reciprocal: m,
-                indegree_excl_m: deg_cvc[r as usize].acc.unwrap_or((0, false)).0,
                 is_high: high,
                 eh_leaf,
                 hl_in: Vec::new(),
@@ -687,7 +679,6 @@ fn merge_iteration(
                     "R target {t} has no incident merge edge (maximality broken)"
                 );
                 r_leaves.push(r);
-                let _ = t;
             }
         }
     }

@@ -40,6 +40,8 @@ pub struct GhaffariState {
     pub joined: PackedBits,
     /// Per-execution coverage (a neighbor joined).
     pub removed: PackedBits,
+    /// Per-execution desire levels; empty at a node that does not
+    /// participate, so a sleeping node's state holds no heap memory.
     p: Vec<f64>,
     marked: PackedBits,
     saw_mark: PackedBits,
@@ -53,14 +55,18 @@ impl GhaffariState {
 
     /// Whether every execution has decided.
     pub fn all_decided(&self) -> bool {
-        (0..self.p.len()).all(|e| !self.alive(e))
+        (0..self.joined.width()).all(|e| !self.alive(e))
     }
 
-    /// Desire level of execution `e` (test/inspection hook).
+    /// Desire level of execution `e` (test/inspection hook); a node that
+    /// does not participate keeps the initial 1/2.
     pub fn desire(&self, e: usize) -> f64 {
-        self.p[e]
+        self.p.get(e).copied().unwrap_or(P_MAX)
     }
 }
+
+/// Initial and largest desire level.
+const P_MAX: f64 = 0.5;
 
 const P_MIN: f64 = 1.0 / (1u64 << 40) as f64;
 
@@ -73,7 +79,8 @@ impl Protocol for GhaffariMis<'_> {
             !self.halt_when_done || self.executions == 1,
             "early halting is only sound for a single execution"
         );
-        if self.participating[node as usize] {
+        let participates = self.participating[node as usize];
+        if participates {
             // Self-rescheduling: wake for the first iteration; each recv
             // schedules the next while undecided.
             api.wake_range(0..2);
@@ -81,7 +88,11 @@ impl Protocol for GhaffariMis<'_> {
         GhaffariState {
             joined: PackedBits::new(self.executions),
             removed: PackedBits::new(self.executions),
-            p: vec![0.5; self.executions],
+            p: if participates {
+                vec![P_MAX; self.executions]
+            } else {
+                Vec::new()
+            },
             marked: PackedBits::new(self.executions),
             saw_mark: PackedBits::new(self.executions),
         }
@@ -130,7 +141,7 @@ impl Protocol for GhaffariMis<'_> {
                     state.p[e] = if state.saw_mark.get(e) {
                         (state.p[e] / 2.0).max(P_MIN)
                     } else {
-                        (state.p[e] * 2.0).min(0.5)
+                        (state.p[e] * 2.0).min(P_MAX)
                     };
                 }
             }

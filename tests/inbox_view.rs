@@ -162,12 +162,13 @@ proptest! {
 /// The scratch no longer carries a per-node inbox buffer — delivery
 /// borrows from the round's payload arena in place. `FIXED_BUFFERS`
 /// pins the per-shard buffer count (the slice-era scratch held the inbox
-/// buffer where a shard now holds its cross-shard out stamps), and the
-/// capacity signature proves reuse still allocates nothing in steady
-/// state even for this broadcast-heavy recorder.
+/// buffer where a shard now holds its cross-shard out stamps; the eighth
+/// buffer is the derived-RNG bitset), and the capacity signature proves
+/// reuse still allocates nothing in steady state even for this
+/// broadcast-heavy recorder.
 #[test]
 fn scratch_has_no_inbox_buffer_and_reuse_is_allocation_free() {
-    assert_eq!(EngineScratch::FIXED_BUFFERS, 7);
+    assert_eq!(EngineScratch::FIXED_BUFFERS, 8);
     let mut rng = SmallRng::seed_from_u64(9);
     let g = generators::gnp(256, 12.0 / 256.0, &mut rng);
     let cfg = SimConfig::seeded(4);

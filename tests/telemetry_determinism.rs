@@ -182,3 +182,67 @@ fn probe_counting_is_allocation_free_in_steady_state() {
         "probes were live during the allocation-free run"
     );
 }
+
+/// A node's RNG is derived at its first draw, so a phase derives one RNG
+/// per node that draws and none for the nodes that sleep through it. On
+/// a grid that shattering does not finish, the tail's merge protocols
+/// never draw, the shattering derives one RNG per participant, and each
+/// finish execution derives exactly its pending nodes — at every thread
+/// count.
+#[test]
+fn rng_derivations_follow_the_nodes_that_draw() {
+    let g = "grid:n=16384".parse::<WorkloadSpec>().unwrap().build();
+    let alg = registry::from_name("alg1").expect("registered");
+    let mut per_phase = Vec::new();
+    for threads in [0usize, 2] {
+        let report = alg
+            .run(&g, &RunConfig::seeded(9).threads(threads))
+            .expect("alg1 solves the grid");
+        let residual = report.extras["phase2_remaining"] as u64;
+        assert!(residual > 0, "shattering left no residual");
+        assert!(
+            report.phases.iter().any(|(name, _)| name == "merge:ports"),
+            "the Borůvka merge never chose an edge"
+        );
+        let mut finishes = 0;
+        for (name, m) in &report.phases {
+            let derived = m.probes.rngs_derived;
+            let woke = m.awake_rounds.iter().filter(|&&a| a > 0).count() as u64;
+            if name.starts_with("merge:") {
+                assert_eq!(derived, 0, "{name} drew randomness ({threads} threads)");
+            } else if name == "phase2:shatter" {
+                let active = report.extras["tail_input_active"] as u64;
+                assert_eq!(derived, active, "{name} ({threads} threads)");
+            } else if name == "finish:executions" {
+                if finishes == 0 {
+                    assert_eq!(derived, residual, "first attempt ({threads} threads)");
+                }
+                assert_eq!(derived, woke, "{name} ({threads} threads)");
+                finishes += 1;
+            }
+        }
+        assert!(finishes > 0, "the finish never ran");
+        let total: u64 = report
+            .phases
+            .iter()
+            .map(|(_, m)| m.probes.rngs_derived)
+            .sum();
+        assert_eq!(report.metrics.probes.rngs_derived, total);
+        assert!(
+            total < 2 * g.n() as u64,
+            "{total} derivations for n = {}",
+            g.n()
+        );
+        per_phase.push(
+            report
+                .phases
+                .iter()
+                .map(|(_, m)| m.probes.rngs_derived)
+                .collect::<Vec<_>>(),
+        );
+    }
+    assert_eq!(
+        per_phase[0], per_phase[1],
+        "derivations differ across threads"
+    );
+}
